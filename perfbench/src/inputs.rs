@@ -48,7 +48,7 @@ const MAP_HALF_WIDTH: f64 = 6.0;
 /// Stations inside every window: the mean count is 36.
 const MAP_STATIONS: std::ops::RangeInclusive<usize> = 34..=38;
 /// Distinct windows one run cycles through: map cost depends on how
-/// many zone boundaries a window cuts, and `op_p90_ms` reads the
+/// many zone boundaries a window cuts, and `query_p90_ms` reads the
 /// heaviest tenth of them, so a run samples many.
 const MAP_POOL: usize = 40;
 /// Name the shared network is registered under.
@@ -198,7 +198,7 @@ fn hotspots(rng: &mut StdRng, patches: usize) -> Vec<Point> {
 }
 
 /// A window holding `MAP_STATIONS` stations. Map cost grows with the
-/// zones a window covers, and `op_p90_ms` reads the heaviest windows,
+/// zones a window covers, and `query_p90_ms` reads the heaviest windows,
 /// so windows of equal station count keep it from hanging on a few
 /// crowded ones.
 fn window(rng: &mut StdRng, net: &Network) -> BBox {

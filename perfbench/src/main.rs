@@ -19,17 +19,20 @@ mod verify;
 
 use drive::{Counts, OpRecord, Span, Window};
 use inputs::{Plan, Workload};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// Server launches per run, before and after the timed window;
-/// `setup_s` is their median. A set-up takes milliseconds, so spreading
-/// the launches over the run keeps a short burst of host load from
-/// moving them all.
+/// Set-ups per run, before and after the timed window, and server
+/// launches per set-up. A set-up takes milliseconds, and on a busy host
+/// half the launches or more wait milliseconds for a core at some step.
+/// Interference only slows a launch down, so a set-up's time is its
+/// fastest launch; `setup_s` is the median set-up. Spreading them over
+/// the run keeps a burst of host load from moving them all.
 const SETUPS_BEFORE: usize = 8;
 const SETUPS_AFTER: usize = 7;
+const LAUNCHES_PER_SETUP: usize = 5;
 /// Ops per connection after set-up and before the clock starts.
 const WARM_UP_OPS: usize = 2;
 
@@ -124,8 +127,13 @@ fn main() -> ExitCode {
     }
 }
 
-fn median(mut v: Vec<f64>) -> f64 {
+fn sorted(mut v: Vec<f64>) -> Vec<f64> {
     v.sort_by(f64::total_cmp);
+    v
+}
+
+fn median(v: Vec<f64>) -> f64 {
+    let v = sorted(v);
     v[v.len() / 2]
 }
 
@@ -146,25 +154,50 @@ fn counts(records: &[OpRecord], bad: &HashSet<(usize, usize)>) -> Counts {
     }
 }
 
-/// The end-to-end metrics of one window (`setup_s` aside).
-fn end_to_end(w: &Window, bad: &HashSet<(usize, usize)>) -> Vec<Metric> {
-    let ok = w.records.iter().filter(|r| !failed(r, bad)).count();
-    let mut latencies: Vec<f64> = w
-        .records
-        .iter()
-        .map(|r| {
-            if failed(r, bad) {
-                f64::INFINITY
-            } else {
-                r.latency.as_secs_f64() * 1e3
-            }
-        })
+/// Latencies in ms, sorted; a failed op is infinitely slow.
+fn sorted_latencies<'a>(
+    records: impl IntoIterator<Item = &'a OpRecord>,
+    bad: &HashSet<(usize, usize)>,
+) -> Vec<f64> {
+    sorted(
+        records
+            .into_iter()
+            .map(|r| {
+                if failed(r, bad) {
+                    f64::INFINITY
+                } else {
+                    r.latency.as_secs_f64() * 1e3
+                }
+            })
+            .collect(),
+    )
+}
+
+/// Each query frame of the plan's pools (op `k` of a connection sends
+/// its frame `k % pool`) gets the median latency of its ops; this is the
+/// 90th percentile of those medians. It reads the heaviest inputs while
+/// a frame's median shrugs off host jitter that a per-op p90 would read.
+fn query_p90(plan: &Plan, w: &Window, bad: &HashSet<(usize, usize)>) -> f64 {
+    let mut by_query: BTreeMap<(usize, usize), Vec<&OpRecord>> = BTreeMap::new();
+    for r in &w.records {
+        let pool = plan.conns[r.conn].queries.len();
+        by_query.entry((r.conn, r.op % pool)).or_default().push(r);
+    }
+    let medians: Vec<f64> = by_query
+        .into_values()
+        .map(|ops| percentile(&sorted_latencies(ops, bad), 0.5))
         .collect();
-    latencies.sort_by(f64::total_cmp);
+    percentile(&sorted(medians), 0.9)
+}
+
+/// The end-to-end metrics of one window (`setup_s` aside).
+fn end_to_end(plan: &Plan, w: &Window, bad: &HashSet<(usize, usize)>) -> Vec<Metric> {
+    let ok = w.records.iter().filter(|r| !failed(r, bad)).count();
+    let latencies = sorted_latencies(&w.records, bad);
     vec![
         Metric::new("ops_per_s", ok as f64 / w.elapsed.as_secs_f64(), "1/s"),
         Metric::new("op_p50_ms", percentile(&latencies, 0.5), "ms"),
-        Metric::new("op_p90_ms", percentile(&latencies, 0.9), "ms"),
+        Metric::new("query_p90_ms", query_p90(plan, w, bad), "ms"),
     ]
 }
 
@@ -266,18 +299,18 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let windows = if args.trace { 2.0 } else { 1.0 };
     let plan = inputs::plan(args.workload, args.seed, args.seconds * windows);
 
-    let mut setup_times = Vec::with_capacity(SETUPS_BEFORE + SETUPS_AFTER);
+    let mut launch_times = Vec::with_capacity((SETUPS_BEFORE + SETUPS_AFTER) * LAUNCHES_PER_SETUP);
     let mut setup_counts = Counts::default();
     let mut set_up = || -> Result<_, Box<dyn std::error::Error>> {
         let (server, conns, took, counts) = drive::setup(&plan)?;
         if counts.failed > 0 {
             return Err(format!("{} set-up frames failed", counts.failed).into());
         }
-        setup_times.push(took.as_secs_f64());
+        launch_times.push(took.as_secs_f64());
         setup_counts.add(counts);
         Ok((server, conns))
     };
-    for _ in 1..SETUPS_BEFORE {
+    for _ in 1..SETUPS_BEFORE * LAUNCHES_PER_SETUP {
         let (server, conns) = set_up()?;
         drop(conns);
         server.stop()?;
@@ -300,12 +333,17 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let rss_mb = server.peak_rss_mb()?;
     drop(conns);
     server.stop()?;
-    for _ in 0..SETUPS_AFTER {
+    for _ in 0..SETUPS_AFTER * LAUNCHES_PER_SETUP {
         let (server, conns) = set_up()?;
         drop(conns);
         server.stop()?;
     }
-    let setup_s = median(setup_times);
+    let setup_s = median(
+        launch_times
+            .chunks(LAUNCHES_PER_SETUP)
+            .map(|launches| launches.iter().copied().fold(f64::INFINITY, f64::min))
+            .collect(),
+    );
 
     // Verification, with the clock stopped.
     let bad = verify::mismatches(
@@ -321,7 +359,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let mut e2e = vec![Metric::new("setup_s", setup_s, "s")];
-    e2e.extend(end_to_end(&untraced, &bad));
+    e2e.extend(end_to_end(&plan, &untraced, &bad));
     e2e.push(Metric::new("server_rss_mb", rss_mb, "MB"));
 
     let mut report = String::new();
@@ -344,11 +382,18 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         json_metrics(
             &e2e.iter()
                 .cloned()
-                .chain([Metric::new(
-                    "failed_frac",
-                    timed_counts.failed as f64 / timed_counts.attempted.max(1) as f64,
-                    "fraction",
-                )])
+                .chain([
+                    Metric::new(
+                        "op_p90_ms",
+                        percentile(&sorted_latencies(&untraced.records, &bad), 0.9),
+                        "ms",
+                    ),
+                    Metric::new(
+                        "failed_frac",
+                        timed_counts.failed as f64 / timed_counts.attempted.max(1) as f64,
+                        "fraction",
+                    ),
+                ])
                 .collect::<Vec<_>>()
         ),
     );
@@ -359,7 +404,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let replay = layers::replay(&plan);
             let mut per_layer = window_layers(t, replay.handle_us_per_op);
             per_layer.extend(replay.metrics);
-            let traced_e2e = end_to_end(t, &bad);
+            let traced_e2e = end_to_end(&plan, t, &bad);
             let overhead: Vec<Metric> = traced_e2e
                 .iter()
                 .zip(&e2e[1..])
