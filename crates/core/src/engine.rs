@@ -450,22 +450,6 @@ pub const PARALLEL_BATCH_THRESHOLD: usize = 2048;
 /// default); the `engine_batch` bench sweeps it.
 pub const BATCH_TILE: usize = 512;
 
-/// Minimum inputs per thread for the static split of
-/// [`batch_map_chunked`] — spawning a thread for fewer is pure overhead.
-const MIN_STATIC_CHUNK: usize = 512;
-
-/// The static split of [`batch_map_chunked`]: effective worker count and
-/// chunk length for a batch of `len` on `threads` cores, with the thread
-/// count clamped so no chunk is near-empty.
-///
-/// (Regression shape: `len` barely above [`PARALLEL_BATCH_THRESHOLD`] on
-/// a high-core machine used to yield `threads` chunks of a few points
-/// each; now at most `len.div_ceil(MIN_STATIC_CHUNK)` workers spawn.)
-fn static_split(len: usize, threads: usize) -> (usize, usize) {
-    let workers = threads.min(len.div_ceil(MIN_STATIC_CHUNK)).max(1);
-    (workers, len.div_ceil(workers))
-}
-
 /// Applies `f` to every input, writing results into `out` — work-stolen
 /// across the available cores when the batch is large, serial otherwise.
 ///
@@ -474,8 +458,7 @@ fn static_split(len: usize, threads: usize) -> (usize, usize) {
 /// are split into fixed-size tiles claimed by worker threads through one
 /// atomic counter, so skewed per-input costs (e.g. rasters where some
 /// rows hit a fast path and others fall back to an exact scan) no longer
-/// idle whole threads the way the old one-chunk-per-core split did (that
-/// split survives as [`batch_map_chunked`] for comparison).
+/// idle whole threads the way a one-chunk-per-core split would.
 ///
 /// # Panics
 ///
@@ -518,51 +501,26 @@ where
     });
 }
 
-/// The PR-1 batch driver: one contiguous chunk per core, retained as the
-/// reference implementation the work-stealing [`batch_map`] is
-/// regression-tested against. Prefer [`batch_map`].
+/// `len` copies of `value`, written across the cores by [`batch_map`] —
+/// `vec![value; len]` for buffers too large to initialise on one core.
 ///
-/// The chunk split clamps the effective thread count so every chunk has
-/// at least ~[`MIN_STATIC_CHUNK`]/2 inputs — the original split computed
-/// `len.div_ceil(threads)` unconditionally and spawned dozens of
-/// near-empty threads when `len` barely exceeded
-/// [`PARALLEL_BATCH_THRESHOLD`] on high-core machines.
-///
-/// # Panics
-///
-/// Panics if `inputs` and `out` have different lengths.
-pub fn batch_map_chunked<I, O, F>(inputs: &[I], out: &mut [O], f: F)
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    assert_eq!(
-        inputs.len(),
-        out.len(),
-        "batch_map: {} inputs but {} output slots",
-        inputs.len(),
-        out.len()
+/// The costly part of initialising a multi-megabyte buffer is the first
+/// write to each fresh page (a kernel page fault per 4 KiB), which
+/// `vec!` takes serially: on a 2-core VM a 64 MiB raster buffer costs
+/// about 30 ms that way, more than the rest of a hierarchical 2048²
+/// heatmap's serial work combined.
+#[allow(unsafe_code)]
+pub fn filled_vec<T: Copy + Send + Sync>(value: T, len: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(len);
+    batch_map(
+        &vec![(); len],
+        &mut out.spare_capacity_mut()[..len],
+        move |_| std::mem::MaybeUninit::new(value),
     );
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if inputs.len() < PARALLEL_BATCH_THRESHOLD || threads <= 1 {
-        for (p, slot) in inputs.iter().zip(out.iter_mut()) {
-            *slot = f(p);
-        }
-        return;
-    }
-    let (_, chunk) = static_split(inputs.len(), threads);
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in inputs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(|| {
-                for (p, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = f(p);
-                }
-            });
-        }
-    });
+    // SAFETY: `batch_map` wrote every one of the first `len` slots (if
+    // it panics instead, the length stays 0).
+    unsafe { out.set_len(len) };
+    out
 }
 
 /// The one unsafe corner of the scheduler: a `Send + Sync` handle to the
@@ -2386,7 +2344,7 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_and_chunked_agree() {
+    fn work_stealing_matches_serial_loop() {
         // Sizes straddling the threshold and the tile size, including a
         // non-multiple-of-tile length.
         for len in [
@@ -2398,10 +2356,28 @@ mod tests {
         ] {
             let inputs: Vec<u64> = (0..len as u64).collect();
             let mut stolen = vec![0u64; len];
-            let mut chunked = vec![u64::MAX; len];
             batch_map(&inputs, &mut stolen, |x| x.wrapping_mul(0x9E37_79B9) ^ 7);
-            batch_map_chunked(&inputs, &mut chunked, |x| x.wrapping_mul(0x9E37_79B9) ^ 7);
-            assert_eq!(stolen, chunked, "schedulers disagree at len {len}");
+            let serial: Vec<u64> = inputs
+                .iter()
+                .map(|x| x.wrapping_mul(0x9E37_79B9) ^ 7)
+                .collect();
+            assert_eq!(
+                stolen, serial,
+                "scheduler disagrees with a serial loop at len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn filled_vec_matches_vec_macro() {
+        for len in [
+            0,
+            1,
+            PARALLEL_BATCH_THRESHOLD - 1,
+            3 * BATCH_TILE + 17,
+            25_000,
+        ] {
+            assert_eq!(filled_vec((7u32, -1i64), len), vec![(7u32, -1i64); len]);
         }
     }
 
@@ -2419,26 +2395,5 @@ mod tests {
         }
         // The originals are only referenced by `probes` now.
         assert!(probes.iter().all(|p| std::sync::Arc::strong_count(p) == 1));
-    }
-
-    #[test]
-    fn static_split_clamps_thread_count() {
-        // Regression: a batch barely above the parallel threshold on a
-        // high-core machine must not shatter into near-empty chunks.
-        let (workers, chunk) = static_split(PARALLEL_BATCH_THRESHOLD + 1, 128);
-        assert_eq!(
-            workers,
-            (PARALLEL_BATCH_THRESHOLD + 1).div_ceil(MIN_STATIC_CHUNK)
-        );
-        assert!(chunk >= MIN_STATIC_CHUNK / 2, "chunk {chunk} too small");
-        assert!(workers * chunk > PARALLEL_BATCH_THRESHOLD);
-        // Plenty of work: every core gets a chunk.
-        let (workers, chunk) = static_split(1_000_000, 16);
-        assert_eq!(workers, 16);
-        assert_eq!(chunk, 62_500);
-        // Degenerate guards.
-        assert_eq!(static_split(1, 64), (1, 1));
-        let (w, c) = static_split(MIN_STATIC_CHUNK * 3, 2);
-        assert_eq!((w, c), (2, MIN_STATIC_CHUNK * 3 / 2));
     }
 }

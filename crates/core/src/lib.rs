@@ -154,8 +154,9 @@
 #![deny(missing_docs)]
 // `unsafe` is denied everywhere except the two audited corners that need
 // it: the `std::arch` intrinsics of [`simd`] and the disjoint-slot output
-// writer of the work-stealing scheduler in [`engine`] (both opt out with
-// a scoped `allow` and documented safety contracts).
+// writer of the work-stealing scheduler in [`engine`], with its parallel
+// buffer fill (both opt out with a scoped `allow` and documented safety
+// contracts).
 #![deny(unsafe_code)]
 
 pub mod bounds;

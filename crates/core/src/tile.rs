@@ -269,14 +269,21 @@ fn grid_scale(min: f64, max: f64) -> f64 {
 /// Runs `f(tile_index, &mut scratch)` over `0..num_tiles`, work-stolen
 /// across the available cores through one atomic counter (inline when
 /// one worker suffices). Each worker owns one `S` scratch value for the
-/// whole run, so per-tile allocations amortize away.
+/// whole run, so per-tile allocations amortize away; the scratch values
+/// are returned (one per worker, in no particular order) so workers can
+/// also accumulate results in them.
 ///
-/// This is the **one** work-stealing scheduler of the crate:
-/// [`crate::engine::batch_map`]'s parallel branch and both tiled
-/// executors here run through it, so the worker-count clamp and the
-/// `fetch_add` claim protocol (which the `OutputSlots` soundness
-/// argument leans on) exist in exactly one place.
-pub(crate) fn steal_tiles<S: Default, F: Fn(usize, &mut S) + Sync>(num_tiles: usize, f: F) {
+/// This is the **one** work-stealing scheduler of the workspace:
+/// [`crate::engine::batch_map`]'s parallel branch, both tiled executors
+/// here and the quadtree refinement of `sinr-diagram` run through it,
+/// so the worker-count clamp and the `fetch_add` claim protocol (which
+/// the `OutputSlots` soundness argument leans on) exist in exactly one
+/// place. Every tile index is claimed exactly once.
+pub fn steal_tiles<S, F>(num_tiles: usize, f: F) -> Vec<S>
+where
+    S: Default + Send,
+    F: Fn(usize, &mut S) + Sync,
+{
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -286,23 +293,30 @@ pub(crate) fn steal_tiles<S: Default, F: Fn(usize, &mut S) + Sync>(num_tiles: us
         for t in 0..num_tiles {
             f(t, &mut scratch);
         }
-        return;
+        return vec![scratch];
     }
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = S::default();
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= num_tiles {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut scratch = S::default();
+                    loop {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        if t >= num_tiles {
+                            break;
+                        }
+                        f(t, &mut scratch);
                     }
-                    f(t, &mut scratch);
-                }
-            });
-        }
-    });
+                    scratch
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// Morton-permuted tile scheduling for an arbitrary per-point function:

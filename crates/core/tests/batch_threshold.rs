@@ -11,8 +11,8 @@
 //!   on `Located`, no tolerance), for every backend — [`ExactScan`],
 //!   [`VoronoiAssisted`], every supported [`SimdScan`] kernel, and the
 //!   Theorem-3 `PointLocator`;
-//! * the work-stealing `batch_map` and the legacy clamped
-//!   `batch_map_chunked` compute identical results.
+//! * the work-stealing `batch_map` computes exactly what a plain serial
+//!   loop computes.
 //!
 //! Exactness holds because batch and serial answers run the *same*
 //! kernel per point — parallel scheduling must never change which code
@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sinr_core::engine::{
-    batch_map, batch_map_chunked, ExactScan, Located, QueryEngine, VoronoiAssisted, BATCH_TILE,
+    batch_map, ExactScan, Located, QueryEngine, VoronoiAssisted, BATCH_TILE,
     PARALLEL_BATCH_THRESHOLD,
 };
 use sinr_core::simd::{SimdKernel, SimdScan};
@@ -125,18 +125,17 @@ proptest! {
         }
     }
 
-    /// The work-stealing scheduler and the legacy clamped static split
-    /// produce identical outputs at the crossover lengths (and the
-    /// serial path below the threshold is the same loop for both).
+    /// The work-stealing scheduler produces exactly the outputs of a
+    /// plain serial loop at the crossover lengths (below the threshold
+    /// it *is* that loop).
     #[test]
     fn schedulers_agree_at_threshold_boundaries(offset in 0u64..1024) {
         for len in BOUNDARY_LENS {
             let inputs: Vec<u64> = (offset..offset + len as u64).collect();
             let mut stolen = vec![0u64; len];
-            let mut chunked = vec![u64::MAX; len];
             batch_map(&inputs, &mut stolen, |x| x.rotate_left(7) ^ 0xA5A5);
-            batch_map_chunked(&inputs, &mut chunked, |x| x.rotate_left(7) ^ 0xA5A5);
-            prop_assert_eq!(&stolen, &chunked, "schedulers disagree at len {}", len);
+            let serial: Vec<u64> = inputs.iter().map(|x| x.rotate_left(7) ^ 0xA5A5).collect();
+            prop_assert_eq!(&stolen, &serial, "scheduler disagrees with a serial loop at len {}", len);
         }
     }
 }

@@ -37,15 +37,38 @@
 //!   the approximate Theorem-3 locator) degrades to exactly the dense
 //!   evaluation in one batch.
 //!
+//! ## Parallel refinement
+//!
+//! The first `SERIAL_LEVELS` (3) levels of the quadtree are certified
+//! serially. Every `Mixed` cell on the last of them hands its children
+//! to `sinr-core`'s work-stealing scheduler ([`steal_tiles`]) as
+//! independent subtrees, at most 64, each with a shared (`Arc`) copy of
+//! its parent certificate. A worker refines each subtree it claims to pixel
+//! resolution, writing labels straight into that subtree's own
+//! rectangle of the raster (subtrees are disjoint, so no two workers
+//! touch a pixel) and collecting its unresolved pixels and counters in
+//! per-worker scratch. On one core the scheduler runs the same subtrees
+//! inline. The label buffer is initialised across the cores too
+//! ([`filled_vec`]): first-touching a 2048² raster's 64 MiB is
+//! otherwise the largest serial step of the whole map.
+//!
+//! Scheduling cannot change a pixel: a cell's certificate depends only
+//! on the cell and its parent certificate, so a subtree computes the
+//! same certificates, fills and per-pixel answers whichever worker runs
+//! it and when; the unresolved pixels reach the final `locate_batch` in
+//! a scheduling-dependent order, but its per-point answers are
+//! order-independent; and the counters are sums.
+//!
 //! The payoff is reported, not assumed: [`HierarchicalStats`] carries
 //! the evaluated-pixel fraction (the `cells_evaluated / pixels` metric
 //! the perf harness trends).
 
-use crate::raster::{pixel_center, PixelLabel, Raster, ReceptionMap};
-use sinr_core::engine::{Located, QueryEngine};
-use sinr_core::tile::{CellCert, CellDecision};
+use crate::raster::{assert_window, pixel_center, PixelLabel, Raster, ReceptionMap};
+use sinr_core::engine::{filled_vec, Located, QueryEngine};
+use sinr_core::tile::{steal_tiles, CellCert, CellDecision};
 use sinr_core::Network;
 use sinr_geometry::{BBox, Point};
+use std::sync::{Arc, Mutex};
 
 /// Below this many pixels a region skips certification and goes straight
 /// to the batched per-pixel evaluation: a certificate costs at least a
@@ -54,10 +77,17 @@ use sinr_geometry::{BBox, Point};
 /// that the unresolved band hugs the zone boundaries at pixel scale.
 const MIN_CERT_PIXELS: usize = 4;
 
+/// Quadtree levels certified serially before the refinement fans out:
+/// the children of every `Mixed` cell on the last serial level become
+/// independent subtrees for the work-stealing scheduler — at most
+/// `4^SERIAL_LEVELS = 64` steal units, enough to balance the cores
+/// while the serial prefix stays at `1 + 4 + 16` certificates.
+const SERIAL_LEVELS: usize = 3;
+
 /// Observability of one hierarchical rasterisation (the counters say
 /// nothing about answers, which are always bit-identical to the dense
 /// path of the same backend).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchicalStats {
     /// Total pixels of the raster (`width · height`).
     pub pixels: u64,
@@ -79,6 +109,14 @@ pub struct HierarchicalStats {
 }
 
 impl HierarchicalStats {
+    /// Adds another run's counters (all but `pixels`) to these.
+    fn absorb(&mut self, other: &HierarchicalStats) {
+        self.cells_evaluated += other.cells_evaluated;
+        self.certificates += other.certificates;
+        self.point_certified += other.point_certified;
+        self.certified_pixels += other.certified_pixels;
+    }
+
     /// Fraction of pixels that paid a per-point engine evaluation
     /// (`cells_evaluated / pixels`) — the headline economy metric: the
     /// dense path is always exactly `1.0`.
@@ -91,74 +129,174 @@ impl HierarchicalStats {
     }
 }
 
-/// The refinement worklist context: grid geometry, the accumulating
-/// label buffer, and the deferred per-pixel batch.
-struct Refiner<'a, E: QueryEngine + ?Sized> {
+/// A half-open pixel-index rectangle `[c0, c1) × [r0, r1)`.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    c0: usize,
+    c1: usize,
+    r0: usize,
+    r1: usize,
+}
+
+impl Region {
+    fn pixels(&self) -> usize {
+        (self.c1 - self.c0) * (self.r1 - self.r0)
+    }
+
+    /// The quadtree children: quarters, or halves along the long axis
+    /// for 1-wide strips.
+    fn children(&self) -> impl Iterator<Item = Region> {
+        let Region { c0, c1, r0, r1 } = *self;
+        let cm = if c1 - c0 > 1 { c0 + (c1 - c0) / 2 } else { c1 };
+        let rm = if r1 - r0 > 1 { r0 + (r1 - r0) / 2 } else { r1 };
+        [
+            (c0, cm, r0, rm),
+            (cm, c1, r0, rm),
+            (c0, cm, rm, r1),
+            (cm, c1, rm, r1),
+        ]
+        .into_iter()
+        .filter(|&(c0, c1, r0, r1)| c0 < c1 && r0 < r1)
+        .map(|(c0, c1, r0, r1)| Region { c0, c1, r0, r1 })
+    }
+}
+
+/// The read-only side of a refinement, shared by every worker.
+struct Grid<'a, E: ?Sized> {
     engine: &'a E,
-    window: &'a BBox,
+    window: BBox,
     width: usize,
     height: usize,
-    cells: Vec<PixelLabel>,
+}
+
+impl<E: ?Sized> Grid<'_, E> {
+    fn center(&self, col: usize, row: usize) -> Point {
+        pixel_center(&self.window, self.width, self.height, col, row)
+    }
+}
+
+/// A writable rectangle of the label buffer: one slice per row, with
+/// `rows[0][0]` at pixel `(col0, row0)`. The serial levels write through
+/// a block spanning the whole raster; each parallel subtree owns a block
+/// spanning exactly its region, so workers write disjoint pixels.
+struct Block<'a> {
+    col0: usize,
+    row0: usize,
+    rows: Vec<&'a mut [PixelLabel]>,
+}
+
+impl Block<'_> {
+    fn set(&mut self, col: usize, row: usize, label: PixelLabel) {
+        self.rows[row - self.row0][col - self.col0] = label;
+    }
+
+    fn fill(&mut self, r: Region, label: PixelLabel) {
+        for row in r.r0..r.r1 {
+            self.rows[row - self.row0][r.c0 - self.col0..r.c1 - self.col0].fill(label);
+        }
+    }
+}
+
+/// A `Mixed` cell's child handed to the scheduler, with the certificate
+/// of the cell it came from.
+struct Subtree {
+    region: Region,
+    parent: Arc<CellCert>,
+}
+
+/// One worker's scratch: what its regions left unresolved, and its
+/// counters. The serial levels use one too.
+#[derive(Default)]
+struct Refiner {
     /// Row-major indices of pixels no certificate resolved.
     unresolved: Vec<usize>,
     stats: HierarchicalStats,
 }
 
-impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
-    /// Refines the half-open pixel-index region `[c0, c1) × [r0, r1)`
-    /// under a (contained) parent certificate.
-    fn refine(&mut self, c0: usize, c1: usize, r0: usize, r1: usize, parent: Option<&CellCert>) {
-        let count = (c1 - c0) * (r1 - r0);
-        if count == 0 {
-            return;
-        }
-        if count < MIN_CERT_PIXELS {
-            self.defer(c0, c1, r0, r1, parent);
-            return;
-        }
-        // The certified box spans the pixel *centres* of the region —
-        // the only points the raster ever samples. (For 1-wide strips
-        // this is a flat box; the certificate layer accepts it.)
-        let lo = pixel_center(self.window, self.width, self.height, c0, r0);
-        let hi = pixel_center(self.window, self.width, self.height, c1 - 1, r1 - 1);
-        let cert = match self.engine.sinr_bounds_cell(lo, hi, parent) {
-            Some(cert) => cert,
-            // Certificate-less backend: dense-equivalent in one batch.
-            None => {
-                self.defer(c0, c1, r0, r1, None);
-                return;
-            }
-        };
-        self.stats.certificates += 1;
-        match cert.decision() {
-            CellDecision::Reception(i) => self.fill(c0, c1, r0, r1, PixelLabel::Heard(i)),
-            CellDecision::Silent => self.fill(c0, c1, r0, r1, PixelLabel::Silent),
-            CellDecision::Mixed => {
-                // Subdivide (long-axis-only for strips) and push the
-                // certificate down: children re-envelope only its
-                // surviving candidates.
-                let cm = if c1 - c0 > 1 { c0 + (c1 - c0) / 2 } else { c1 };
-                let rm = if r1 - r0 > 1 { r0 + (r1 - r0) / 2 } else { r1 };
-                self.refine(c0, cm, r0, rm, Some(&cert));
-                if cm < c1 {
-                    self.refine(cm, c1, r0, rm, Some(&cert));
-                }
-                if rm < r1 {
-                    self.refine(c0, cm, rm, r1, Some(&cert));
-                    if cm < c1 {
-                        self.refine(cm, c1, rm, r1, Some(&cert));
-                    }
-                }
+impl Refiner {
+    /// Refines `region` under a (contained) parent certificate, down to
+    /// pixel resolution.
+    fn refine<E: QueryEngine + ?Sized>(
+        &mut self,
+        grid: &Grid<E>,
+        block: &mut Block,
+        region: Region,
+        parent: Option<&CellCert>,
+    ) {
+        if let Some(cert) = self.certify(grid, block, region, parent) {
+            for child in region.children() {
+                self.refine(grid, block, child, Some(&cert));
             }
         }
     }
 
-    /// Resolves a whole region from a certified uniform decision.
-    fn fill(&mut self, c0: usize, c1: usize, r0: usize, r1: usize, label: PixelLabel) {
-        for row in r0..r1 {
-            self.cells[row * self.width + c0..row * self.width + c1].fill(label);
+    /// The first [`SERIAL_LEVELS`] levels of [`Refiner::refine`]: the
+    /// children of a `Mixed` cell on the last of them are pushed onto
+    /// `subtrees` instead of being refined.
+    fn split<E: QueryEngine + ?Sized>(
+        &mut self,
+        grid: &Grid<E>,
+        block: &mut Block,
+        region: Region,
+        parent: Option<&CellCert>,
+        level: usize,
+        subtrees: &mut Vec<Subtree>,
+    ) {
+        let Some(cert) = self.certify(grid, block, region, parent) else {
+            return;
+        };
+        if level + 1 >= SERIAL_LEVELS {
+            let cert = Arc::new(cert);
+            subtrees.extend(region.children().map(|region| Subtree {
+                region,
+                parent: Arc::clone(&cert),
+            }));
+        } else {
+            for child in region.children() {
+                self.split(grid, block, child, Some(&cert), level + 1, subtrees);
+            }
         }
-        self.stats.certified_pixels += ((c1 - c0) * (r1 - r0)) as u64;
+    }
+
+    /// Resolves whatever `region`'s own certificate settles: a uniform
+    /// decision fills the region, a region too small (or a backend
+    /// without certificates) goes per pixel. Returns the certificate
+    /// when it is `Mixed` and the region must be subdivided; children
+    /// re-envelope only its surviving candidates.
+    fn certify<E: QueryEngine + ?Sized>(
+        &mut self,
+        grid: &Grid<E>,
+        block: &mut Block,
+        region: Region,
+        parent: Option<&CellCert>,
+    ) -> Option<CellCert> {
+        let count = region.pixels();
+        if count == 0 {
+            return None;
+        }
+        if count < MIN_CERT_PIXELS {
+            self.defer(grid, block, region, parent);
+            return None;
+        }
+        // The certified box spans the pixel *centres* of the region —
+        // the only points the raster ever samples. (For 1-wide strips
+        // this is a flat box; the certificate layer accepts it.)
+        let lo = grid.center(region.c0, region.r0);
+        let hi = grid.center(region.c1 - 1, region.r1 - 1);
+        let Some(cert) = grid.engine.sinr_bounds_cell(lo, hi, parent) else {
+            // Certificate-less backend: dense-equivalent in one batch.
+            self.defer(grid, block, region, None);
+            return None;
+        };
+        self.stats.certificates += 1;
+        let label = match cert.decision() {
+            CellDecision::Reception(i) => PixelLabel::Heard(i),
+            CellDecision::Silent => PixelLabel::Silent,
+            CellDecision::Mixed => return Some(cert),
+        };
+        block.fill(region, label);
+        self.stats.certified_pixels += count as u64;
+        None
     }
 
     /// Resolves a sub-certificate-sized region per pixel against its
@@ -169,20 +307,26 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
     /// scattered, so the final batch's Morton tiles span wide boxes and
     /// prune poorly, while the certificate in hand already names the
     /// few competitive stations.
-    fn defer(&mut self, c0: usize, c1: usize, r0: usize, r1: usize, parent: Option<&CellCert>) {
+    fn defer<E: QueryEngine + ?Sized>(
+        &mut self,
+        grid: &Grid<E>,
+        block: &mut Block,
+        region: Region,
+        parent: Option<&CellCert>,
+    ) {
+        let Region { c0, c1, r0, r1 } = region;
         if let Some(cert) = parent {
-            let count = (c1 - c0) * (r1 - r0);
-            if count < MIN_CERT_PIXELS {
+            if region.pixels() < MIN_CERT_PIXELS {
                 let mut pts = [Point::ORIGIN; MIN_CERT_PIXELS - 1];
                 let mut located = [None; MIN_CERT_PIXELS - 1];
                 let mut k = 0usize;
                 for row in r0..r1 {
                     for col in c0..c1 {
-                        pts[k] = pixel_center(self.window, self.width, self.height, col, row);
+                        pts[k] = grid.center(col, row);
                         k += 1;
                     }
                 }
-                if self
+                if grid
                     .engine
                     .locate_in_cell(cert, &pts[..k], &mut located[..k])
                 {
@@ -193,14 +337,9 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
                                 Some(loc) => {
                                     self.stats.cells_evaluated += 1;
                                     self.stats.point_certified += 1;
-                                    self.cells[row * self.width + col] = match loc {
-                                        Located::Reception(id) => PixelLabel::Heard(id),
-                                        Located::Uncertain(_) | Located::Silent => {
-                                            PixelLabel::Silent
-                                        }
-                                    };
+                                    block.set(col, row, label_of(loc));
                                 }
-                                None => self.unresolved.push(row * self.width + col),
+                                None => self.unresolved.push(row * grid.width + col),
                             }
                             i += 1;
                         }
@@ -211,10 +350,53 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
         }
         for row in r0..r1 {
             for col in c0..c1 {
-                self.unresolved.push(row * self.width + col);
+                self.unresolved.push(row * grid.width + col);
             }
         }
     }
+}
+
+/// The [`Located`]-to-[`PixelLabel`] projection of the dense path
+/// (uncertain pixels label silent).
+fn label_of(loc: Located) -> PixelLabel {
+    match loc {
+        Located::Reception(i) => PixelLabel::Heard(i),
+        Located::Uncertain(_) | Located::Silent => PixelLabel::Silent,
+    }
+}
+
+/// Splits the label buffer into one [`Block`] per subtree. Subtrees are
+/// distinct quadtree cells of one level, hence pairwise disjoint, so
+/// every row splits into disjoint column segments in `c0` order.
+fn subtree_blocks<'a>(
+    cells: &'a mut [PixelLabel],
+    width: usize,
+    subtrees: &[Subtree],
+) -> Vec<Mutex<Block<'a>>> {
+    let mut blocks: Vec<Block> = subtrees
+        .iter()
+        .map(|s| Block {
+            col0: s.region.c0,
+            row0: s.region.r0,
+            rows: Vec::with_capacity(s.region.r1 - s.region.r0),
+        })
+        .collect();
+    let mut by_col: Vec<usize> = (0..subtrees.len()).collect();
+    by_col.sort_by_key(|&t| subtrees[t].region.c0);
+    for (row, mut rest) in cells.chunks_mut(width).enumerate() {
+        let mut start = 0;
+        for &t in &by_col {
+            let r = subtrees[t].region;
+            if (r.r0..r.r1).contains(&row) {
+                let (_, tail) = std::mem::take(&mut rest).split_at_mut(r.c0 - start);
+                let (segment, tail) = tail.split_at_mut(r.c1 - r.c0);
+                blocks[t].rows.push(segment);
+                rest = tail;
+                start = r.c1;
+            }
+        }
+    }
+    blocks.into_iter().map(Mutex::new).collect()
 }
 
 /// Rasterises any [`QueryEngine`] backend over a window by quadtree
@@ -225,15 +407,15 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
 /// silent).
 ///
 /// The raster is bit-identical to the dense
-/// [`ReceptionMap::compute_with_engine`] on the same backend; the
-/// returned [`HierarchicalStats`] reports how little of it was paid for
-/// per-pixel.
+/// [`ReceptionMap::compute_with_engine`] on the same backend, on any
+/// number of cores; the returned [`HierarchicalStats`] reports how
+/// little of it was paid for per-pixel.
 ///
 /// # Panics
 ///
 /// Panics if either dimension is zero or the window is degenerate (zero
 /// width or height), exactly like the dense path.
-pub fn hierarchical_map<E: QueryEngine + ?Sized>(
+pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
     engine: &E,
     window: BBox,
     width: usize,
@@ -243,44 +425,56 @@ pub fn hierarchical_map<E: QueryEngine + ?Sized>(
         width > 0 && height > 0,
         "raster dimensions must be positive"
     );
-    // Reuse the dense path's degenerate-window rejection (zero-extent
-    // windows poison the pixel-centre arithmetic).
-    let probe = crate::raster::pixel_centers(&window, 1, 1);
-    drop(probe);
-    let mut refiner = Refiner {
+    assert_window(&window);
+    let grid = Grid {
         engine,
-        window: &window,
+        window,
         width,
         height,
-        cells: vec![PixelLabel::Silent; width * height],
-        unresolved: Vec::new(),
-        stats: HierarchicalStats {
-            pixels: (width * height) as u64,
-            ..HierarchicalStats::default()
-        },
     };
-    refiner.refine(0, width, 0, height, None);
-    let unresolved = std::mem::take(&mut refiner.unresolved);
-    refiner.stats.cells_evaluated += unresolved.len() as u64;
+    let mut cells = filled_vec(PixelLabel::Silent, width * height);
+    let whole = Region {
+        c0: 0,
+        c1: width,
+        r0: 0,
+        r1: height,
+    };
+    let mut top = Refiner::default();
+    let mut subtrees = Vec::new();
+    let mut block = Block {
+        col0: 0,
+        row0: 0,
+        rows: cells.chunks_mut(width).collect(),
+    };
+    top.split(&grid, &mut block, whole, None, 0, &mut subtrees);
+    drop(block);
+    let blocks = subtree_blocks(&mut cells, width, &subtrees);
+    let workers = steal_tiles::<Refiner, _>(subtrees.len(), |t, refiner| {
+        let mut block = blocks[t].lock().expect("a worker panicked mid-subtree");
+        let subtree = &subtrees[t];
+        refiner.refine(&grid, &mut block, subtree.region, Some(&subtree.parent));
+    });
+    drop(blocks);
+    let mut stats = top.stats;
+    let mut unresolved = top.unresolved;
+    for worker in workers {
+        stats.absorb(&worker.stats);
+        unresolved.extend(worker.unresolved);
+    }
+    stats.pixels = (width * height) as u64;
+    stats.cells_evaluated += unresolved.len() as u64;
     if !unresolved.is_empty() {
         let centers: Vec<Point> = unresolved
             .iter()
-            .map(|&idx| pixel_center(&window, width, height, idx % width, idx / width))
+            .map(|&idx| grid.center(idx % width, idx / width))
             .collect();
         let mut located = vec![Located::Silent; centers.len()];
         engine.locate_batch(&centers, &mut located);
-        for (&idx, loc) in unresolved.iter().zip(located.iter()) {
-            refiner.cells[idx] = match loc {
-                Located::Reception(i) => PixelLabel::Heard(*i),
-                Located::Uncertain(_) | Located::Silent => PixelLabel::Silent,
-            };
+        for (&idx, &loc) in unresolved.iter().zip(located.iter()) {
+            cells[idx] = label_of(loc);
         }
     }
-    let stats = refiner.stats;
-    (
-        Raster::from_cells(window, width, height, refiner.cells),
-        stats,
-    )
+    (Raster::from_cells(window, width, height, cells), stats)
 }
 
 impl ReceptionMap {
@@ -304,7 +498,7 @@ impl ReceptionMap {
     /// [`ReceptionMap::compute_hierarchical`] through a caller-supplied
     /// backend — the hierarchical counterpart of
     /// [`ReceptionMap::compute_with_engine`].
-    pub fn compute_hierarchical_with_engine<E: QueryEngine + ?Sized>(
+    pub fn compute_hierarchical_with_engine<E: QueryEngine + Sync + ?Sized>(
         engine: &E,
         window: BBox,
         width: usize,

@@ -143,6 +143,12 @@ impl<T> Raster<T> {
             cells,
         }
     }
+
+    /// Consumes the raster, returning its row-major cells (bottom row
+    /// first) — the inverse of [`Raster::from_cells`], without a copy.
+    pub fn into_cells(self) -> Vec<T> {
+        self.cells
+    }
 }
 
 /// Rejects sampling windows no pixel grid can span: a zero-width or
@@ -150,7 +156,7 @@ impl<T> Raster<T> {
 /// points) would collapse every pixel centre onto one line and poison
 /// any later division by the pixel extent with `NaN`/`∞`. `BBox::new`
 /// only forbids *inverted* corners, so the raster layer must check this.
-fn assert_window(window: &BBox) {
+pub(crate) fn assert_window(window: &BBox) {
     assert!(
         window.width() > 0.0 && window.height() > 0.0,
         "degenerate raster window {window}: width and height must both be positive"
@@ -296,6 +302,35 @@ mod tests {
 
     fn net2() -> Network {
         Network::uniform(vec![Point::new(-2.0, 0.0), Point::new(2.0, 0.0)], 0.0, 2.0).unwrap()
+    }
+
+    #[test]
+    fn into_cells_maps_in_place() {
+        // The server turns a `ReceptionMap` into its `Located` response
+        // cells by mapping the raster's own buffer; that reuses the
+        // allocation only while the two label types share a layout.
+        assert_eq!(
+            std::mem::size_of::<PixelLabel>(),
+            std::mem::size_of::<Located>()
+        );
+        assert_eq!(
+            std::mem::align_of::<PixelLabel>(),
+            std::mem::align_of::<Located>()
+        );
+        let map = ReceptionMap::compute(&net2(), BBox::centered_square(4.0), 8, 4);
+        let expected: Vec<Option<StationId>> = map.iter().map(|(_, _, l)| l.station()).collect();
+        let cells = map.into_cells();
+        let buffer = cells.as_ptr() as usize;
+        let located: Vec<Located> = cells
+            .into_iter()
+            .map(|l| match l {
+                PixelLabel::Heard(i) => Located::Reception(i),
+                PixelLabel::Silent => Located::Silent,
+            })
+            .collect();
+        assert_eq!(located.as_ptr() as usize, buffer, "collect reallocated");
+        let stations: Vec<Option<StationId>> = located.iter().map(Located::station).collect();
+        assert_eq!(stations, expected);
     }
 
     #[test]

@@ -24,8 +24,8 @@ use sinr_pointloc::{PointLocator, QdsConfig};
 /// Every backend the workspace ships, boxed behind the trait object the
 /// server serves through (the Theorem-3 locator is added by callers that
 /// can build one).
-fn backends(net: &Network) -> Vec<(String, Box<dyn QueryEngine>)> {
-    let mut engines: Vec<(String, Box<dyn QueryEngine>)> = vec![
+fn backends(net: &Network) -> Vec<(String, Box<dyn QueryEngine + Send + Sync>)> {
+    let mut engines: Vec<(String, Box<dyn QueryEngine + Send + Sync>)> = vec![
         ("ExactScan".into(), Box::new(ExactScan::new(net))),
         (
             "VoronoiAssisted".into(),
@@ -46,6 +46,34 @@ fn backends(net: &Network) -> Vec<(String, Box<dyn QueryEngine>)> {
 }
 
 fn assert_hier_equals_dense(net: &Network, window: BBox, width: usize, height: usize, tag: &str) {
+    let qds = locator(net);
+    assert_all_equal_dense(net, qds.as_ref(), window, width, height, tag);
+}
+
+/// The approximate Theorem-3 locator, for the networks it can serve
+/// here. (Its boundary reconstruction asserts on overflow-scale
+/// coordinates, so only modest networks exercise this leg; and the
+/// build is far too slow for large station counts in debug builds —
+/// the certificate contract it pins, `None` ⇒ dense-equivalent, is
+/// station-count-independent anyway.)
+fn locator(net: &Network) -> Option<PointLocator> {
+    let modest = net
+        .ids()
+        .all(|i| net.position(i).x.abs() < 1e6 && net.position(i).y.abs() < 1e6);
+    if !modest || net.len() > 24 {
+        return None;
+    }
+    PointLocator::build(net, &QdsConfig::with_epsilon(0.2)).ok()
+}
+
+fn assert_all_equal_dense(
+    net: &Network,
+    qds: Option<&PointLocator>,
+    window: BBox,
+    width: usize,
+    height: usize,
+    tag: &str,
+) {
     for (name, engine) in backends(net) {
         let dense = ReceptionMap::compute_with_engine(engine.as_ref(), window, width, height);
         let (hier, stats) =
@@ -61,23 +89,12 @@ fn assert_hier_equals_dense(net: &Network, window: BBox, width: usize, height: u
             "{tag}: {name}: pixel accounting"
         );
     }
-    // The approximate Theorem-3 locator has no certificates: the
-    // hierarchical path must degrade to exactly the dense raster. (Its
-    // boundary reconstruction asserts on overflow-scale coordinates, so
-    // only modest networks exercise this leg.)
-    let modest = net
-        .ids()
-        .all(|i| net.position(i).x.abs() < 1e6 && net.position(i).y.abs() < 1e6);
-    // The locator build is also far too slow for large station counts
-    // in debug builds — the certificate contract it pins (None ⇒
-    // dense-equivalent) is station-count-independent anyway.
-    if !modest || net.len() > 24 {
-        return;
-    }
-    if let Ok(qds) = PointLocator::build(net, &QdsConfig::with_epsilon(0.2)) {
-        let dense = ReceptionMap::compute_with_engine(&qds, window, width, height);
+    // The locator has no certificates: the hierarchical path must
+    // degrade to exactly the dense raster.
+    if let Some(qds) = qds {
+        let dense = ReceptionMap::compute_with_engine(qds, window, width, height);
         let (hier, stats) =
-            ReceptionMap::compute_hierarchical_with_engine(&qds, window, width, height);
+            ReceptionMap::compute_hierarchical_with_engine(qds, window, width, height);
         assert_eq!(dense, hier, "{tag}: Qds locator");
         assert_eq!(
             stats.certified_pixels, 0,
@@ -126,6 +143,40 @@ fn hierarchical_equals_dense_across_backends() {
         // Non-square raster + off-centre window.
         let window = BBox::new(Point::new(-7.0, -2.0), Point::new(5.0, 3.0));
         assert_hier_equals_dense(net, window, 60, 33, tag);
+    }
+}
+
+/// Rasters large enough that the refinement fans out into parallel
+/// subtrees (every other fixed row here is at most 96 pixels a side),
+/// including 1-wide strips, whose quadtree halves along the long axis
+/// only. The network is small enough for the Theorem-3 locator leg.
+#[test]
+fn large_rasters_cross_subtree_splits() {
+    let net = gen::random_uniform_network(21, 6, 6.0, 0.01, 1.5).unwrap();
+    let qds = locator(&net);
+    assert!(qds.is_some(), "the locator leg must run");
+    let window = BBox::centered_square(9.0);
+    for (width, height) in [(512, 512), (1024, 257), (1, 4096), (4096, 1)] {
+        let tag = format!("{width}×{height}");
+        assert_all_equal_dense(&net, qds.as_ref(), window, width, height, &tag);
+    }
+}
+
+/// Scheduling must not leak into the output: the same map, computed
+/// repeatedly (with workers claiming subtrees in whatever order they
+/// race to), gives the same raster and the same counters every time.
+#[test]
+fn parallel_refinement_is_deterministic() {
+    let net = gen::random_uniform_network(5, 150, 10.0, 0.0, 2.0).unwrap();
+    let engine = net.query_engine();
+    let window = BBox::centered_square(9.0);
+    let (first, first_stats) =
+        ReceptionMap::compute_hierarchical_with_engine(&engine, window, 512, 512);
+    for run in 1..8 {
+        let (map, stats) =
+            ReceptionMap::compute_hierarchical_with_engine(&engine, window, 512, 512);
+        assert_eq!(map, first, "run {run}: raster differs");
+        assert_eq!(stats, first_stats, "run {run}: stats differ");
     }
 }
 

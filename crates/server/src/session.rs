@@ -531,10 +531,12 @@ fn locate_on(engine: &BoxedEngine, points: &[Point]) -> Response {
 }
 
 /// Serves a `HeatmapBatch`: rasterises the engine's SINR diagram over
-/// the window by hierarchical (interval-certified quadtree) refinement
-/// — bit-identical to a dense per-pixel sweep, but paying per-point
-/// evaluation only near the zone boundaries. The raster rows are
-/// returned bottom-first, row-major, as [`Located`] runs.
+/// the window by hierarchical (interval-certified quadtree) refinement,
+/// whose subtrees refine in parallel — bit-identical to a dense
+/// per-pixel sweep, but paying per-point evaluation only near the zone
+/// boundaries. The raster's buffer becomes the response's `cells`
+/// (rows bottom-first, row-major, as [`Located`]) in place, so the
+/// handler holds one dense copy of the grid, not two.
 fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: u32) -> Response {
     if width == 0
         || height == 0
@@ -583,15 +585,18 @@ fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: 
         width as usize,
         height as usize,
     );
-    let mut answers = Vec::with_capacity(width as usize * height as usize);
-    for row in 0..height as usize {
-        for col in 0..width as usize {
-            answers.push(match map.at(col, row) {
-                sinr_diagram::PixelLabel::Heard(i) => Located::Reception(i),
-                sinr_diagram::PixelLabel::Silent => Located::Silent,
-            });
-        }
-    }
+    // Same row-major, bottom-first layout as the raster. `PixelLabel`
+    // and `Located` have the same size and alignment, so this collect
+    // maps the raster's own buffer in place instead of allocating a
+    // second dense copy.
+    let answers: Vec<Located> = map
+        .into_cells()
+        .into_iter()
+        .map(|label| match label {
+            sinr_diagram::PixelLabel::Heard(i) => Located::Reception(i),
+            sinr_diagram::PixelLabel::Silent => Located::Silent,
+        })
+        .collect();
     // The real frame-size check: 25 bytes of header (tag + revision +
     // dims + cells_evaluated) plus exactly 9 bytes per run.
     let encoded = 25 + 9 * crate::protocol::run_count(&answers);
