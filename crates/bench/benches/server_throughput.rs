@@ -4,11 +4,11 @@
 //! frame, (socket), decode, engine batch, encode runs, frame, decode —
 //! for each exact backend over both transports:
 //!
-//! * `pipe` — the in-process [`PipeTransport`]: pure protocol + engine
-//!   cost, no kernel sockets (the floor the TCP numbers are read
-//!   against);
-//! * `tcp` — a real ephemeral-port loopback connection, thread per
-//!   session, exactly what `examples/query_server.rs` serves.
+//! * `pipe` — a session over the in-process byte pipe
+//!   (`serve_in_process`): pure protocol + engine cost, no kernel
+//!   sockets (the floor the TCP numbers are read against);
+//! * `tcp` — a real ephemeral-port loopback connection to the
+//!   worker-pool server, exactly what `examples/query_server.rs` serves.
 //!
 //! A second scenario (`churn_stream`) interleaves a `Mutate` frame (the
 //! mobile-station timestep) between bursts, measuring the full
@@ -19,10 +19,8 @@
 //! `frames_in_flight > 1` lines show what hiding the per-burst round
 //! trip behind engine compute buys end-to-end. A fourth
 //! (`multiplexed`, PR 7) drives many concurrently-connected light
-//! clients attached to one registered network, once on the
-//! thread-per-connection server and once on the fixed worker pool —
-//! the pair of lines quantifies what multiplexing costs (or saves)
-//! at the many-light-clients extreme.
+//! clients attached to one registered network on a fixed pool of
+//! `MUX_WORKERS` workers — the many-light-clients extreme.
 //!
 //! One JSON line per configuration via `sinr_bench::report::JsonLine`
 //! (`"bench":"server_throughput"`); the trend file is
@@ -189,15 +187,15 @@ fn multiplexed_scenario(addr: std::net::SocketAddr) -> f64 {
     start.elapsed().as_nanos() as f64 / total_points
 }
 
-fn emit_multiplexed(serving: &str, workers: usize, ns_per_point: f64) {
+fn emit_multiplexed(ns_per_point: f64) {
     let line = JsonLine::new("server_throughput")
         .str("scenario", "multiplexed")
         .str("transport", "tcp")
-        .str("serving", serving)
+        .str("serving", "worker_pool")
         .str("backend", BackendId::SimdScan.name())
         .int("stations", STATIONS as u64)
         .int("clients", MUX_CLIENTS as u64)
-        .int("workers", workers as u64)
+        .int("workers", MUX_WORKERS as u64)
         .int("bursts_per_client", MUX_BURSTS as u64)
         .int("burst_points", MUX_BURST_POINTS as u64)
         .num("ns_per_point", ns_per_point)
@@ -287,26 +285,14 @@ fn main() {
     handle.shutdown();
 
     // Multiplexed: many light clients on one shared named network,
-    // thread-per-connection vs the fixed worker pool (PR 7). Same
-    // protocol, same engine snapshots — the lines differ only in how
-    // sessions are scheduled onto OS threads.
-    {
-        let server = Server::bind("127.0.0.1:0").expect("bind ephemeral");
-        let handle = server.spawn().expect("spawn threaded");
-        let mut registrar = Client::connect(handle.addr()).expect("connect");
-        registrar.register_network("mux", &net).expect("register");
-        let ns = multiplexed_scenario(handle.addr());
-        emit_multiplexed("thread_per_conn", MUX_CLIENTS, ns);
-        drop(registrar);
-        handle.shutdown();
-    }
+    // served by a fixed pool of MUX_WORKERS workers.
     {
         let server = Server::bind("127.0.0.1:0").expect("bind ephemeral");
         let handle = server.spawn_pooled(MUX_WORKERS).expect("spawn pooled");
         let mut registrar = Client::connect(handle.addr()).expect("connect");
         registrar.register_network("mux", &net).expect("register");
         let ns = multiplexed_scenario(handle.addr());
-        emit_multiplexed("worker_pool", MUX_WORKERS, ns);
+        emit_multiplexed(ns);
         drop(registrar);
         handle.shutdown();
     }

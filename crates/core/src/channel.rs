@@ -308,7 +308,7 @@ impl ChannelModel {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelError {
     /// The engine is stale (same condition as
-    /// [`QueryEngine::try_locate_batch`](crate::engine::QueryEngine::try_locate_batch)).
+    /// [`QueryEngine::freshness`](crate::engine::QueryEngine::freshness)).
     Stale(LocateError),
     /// The channel model or Monte-Carlo config failed validation.
     InvalidChannel(String),

@@ -294,11 +294,11 @@ impl std::error::Error for SyncError {}
 /// This is the *recoverable* face of the staleness contract: the plain
 /// query entry points ([`QueryEngine::locate`] and friends) **panic** on
 /// a stale engine — a stale answer could be silently wrong, and a panic
-/// is the loudest possible refusal — while the fallible entry points
-/// ([`QueryEngine::try_locate`], [`QueryEngine::try_locate_batch`],
-/// [`QueryEngine::try_sinr_batch`]) report the same condition as this
-/// typed error, which long-lived services (the `sinr-server` session
-/// loop) serialize to their clients instead of dying.
+/// is the loudest possible refusal — while the one fallible entry point,
+/// [`QueryEngine::freshness`], reports the same condition as this typed
+/// error, which long-lived services (the `sinr-server` session loop)
+/// check before querying and serialize to their clients instead of
+/// dying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocateError {
     /// The source network has mutated past the engine's revision; catch
@@ -1153,60 +1153,11 @@ pub trait QueryEngine {
     /// still reflects its source network, [`LocateError::Stale`] (with
     /// both revisions) otherwise.
     ///
-    /// The plain query methods *panic* on staleness; the `try_*` methods
-    /// route through this check and return the error instead — the shape
-    /// a long-lived service needs to serialize the condition rather than
-    /// die. Implementations delegate to [`SinrEvaluator::freshness`].
+    /// The plain query methods *panic* on staleness; a caller that must
+    /// not die (a long-lived service serializing the condition) checks
+    /// this first and calls the plain method only on `Ok`.
+    /// Implementations delegate to [`SinrEvaluator::freshness`].
     fn freshness(&self) -> Result<(), LocateError>;
-
-    /// Fallible [`QueryEngine::locate`]: refuses a stale engine with a
-    /// typed error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`LocateError::Stale`] when the source network has mutated past
-    /// this engine.
-    fn try_locate(&self, p: Point) -> Result<Located, LocateError> {
-        self.freshness()?;
-        Ok(self.locate(p))
-    }
-
-    /// Fallible [`QueryEngine::locate_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`LocateError::Stale`] when the source network has mutated past
-    /// this engine; `out` is untouched on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` and `out` have different lengths.
-    fn try_locate_batch(&self, points: &[Point], out: &mut [Located]) -> Result<(), LocateError> {
-        self.freshness()?;
-        self.locate_batch(points, out);
-        Ok(())
-    }
-
-    /// Fallible [`QueryEngine::sinr_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`LocateError::Stale`] when the source network has mutated past
-    /// this engine; `out` is untouched on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or the slice lengths differ.
-    fn try_sinr_batch(
-        &self,
-        i: StationId,
-        points: &[Point],
-        out: &mut [f64],
-    ) -> Result<(), LocateError> {
-        self.freshness()?;
-        self.sinr_batch(i, points, out);
-        Ok(())
-    }
 
     // --- Interval certificates ([`crate::tile`]) -------------------------
 

@@ -259,7 +259,8 @@ mod tests {
         assert_eq!(snap0.stations(), 3);
 
         let p = Point::new(-2.5, 0.0);
-        let before = snap0.engine().try_locate(p).unwrap();
+        snap0.engine().freshness().unwrap();
+        let before = snap0.engine().locate(p);
 
         // Mutate the live network: the snapshot must stay fresh and
         // keep answering for revision 0.
@@ -269,8 +270,9 @@ mod tests {
                 to: Point::new(0.5, -1.0),
             })
             .unwrap();
+        snap0.engine().freshness().unwrap();
         assert_eq!(
-            snap0.engine().try_locate(p).unwrap(),
+            snap0.engine().locate(p),
             before,
             "frozen snapshot changed its answer after a source mutation"
         );
@@ -281,7 +283,7 @@ mod tests {
         assert_eq!(snap1.revision(), 1);
         assert!(!Arc::ptr_eq(&snap0, &snap1));
         assert_eq!(snap0.revision(), 0);
-        snap0.engine().try_locate(p).unwrap();
+        snap0.engine().freshness().unwrap();
 
         // The new snapshot answers bit-identically to a fresh engine at
         // the mutated revision.
@@ -291,7 +293,8 @@ mod tests {
             .collect();
         let mut got = vec![Located::Silent; probes.len()];
         let mut want = vec![Located::Silent; probes.len()];
-        snap1.engine().try_locate_batch(&probes, &mut got).unwrap();
+        snap1.engine().freshness().unwrap();
+        snap1.engine().locate_batch(&probes, &mut got);
         fresh.locate_batch(&probes, &mut want);
         assert_eq!(got, want);
     }

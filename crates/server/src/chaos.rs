@@ -29,7 +29,7 @@
 //! blocking readers treat `WouldBlock` as a real error. The seeded
 //! presets ([`ChaosConfig::from_seed`]) respect this.
 
-use crate::transport::{IoTransport, PipeStream, StreamCtl};
+use crate::transport::{IoTransport, PipeStream};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
@@ -306,12 +306,6 @@ impl<S: Write + ChaosCut> Write for ChaosStream<S> {
             return Ok(());
         }
         self.inner.flush()
-    }
-}
-
-impl<S: StreamCtl> StreamCtl for ChaosStream<S> {
-    fn set_read_limit(&self, limit: Option<Duration>) -> io::Result<()> {
-        self.inner.set_read_limit(limit)
     }
 }
 

@@ -9,8 +9,8 @@
 //! well-defined under concurrent mutation).
 //!
 //! [`serve_in_process`] wires a client straight to a session loop over
-//! the in-process [`PipeTransport`] — the loopback-free path used by
-//! tests and the `server_throughput` bench to measure protocol cost
+//! the in-process [`PipeStream`] — the loopback-free path used by tests,
+//! examples and the `server_throughput` bench to measure protocol cost
 //! without kernel sockets.
 
 use crate::protocol::{
@@ -18,7 +18,9 @@ use crate::protocol::{
     Response,
 };
 use crate::session::serve_session;
-use crate::transport::{duplex, PipeTransport, RecvError, TcpTransport, Transport};
+use crate::transport::{
+    duplex_stream, IoTransport, PipeStream, RecvError, TcpTransport, Transport,
+};
 use sinr_core::{ChannelModel, Located, Network, StationId, SurgeryOp};
 use sinr_geometry::Point;
 use std::io;
@@ -253,7 +255,7 @@ impl<T: Transport> Client<T> {
     /// outstanding-request byte budget. Safe to raise only when the
     /// transport path is known to buffer at least `budget` request
     /// bytes while the peer is not reading — true for the in-process
-    /// [`PipeTransport`] (unbounded queues) and for TCP stacks
+    /// [`PipeStream`] (unbounded queues) and for TCP stacks
     /// configured with correspondingly large send+receive buffers.
     ///
     /// # Panics
@@ -573,11 +575,11 @@ fn unexpected(got: Response, wanted: &'static str) -> ClientError {
 /// no sockets, no ports, same frames. The session thread ends when the
 /// returned client is dropped (the pipe closes, the session sees a
 /// clean EOF).
-pub fn serve_in_process() -> Client<PipeTransport> {
-    let (client_end, server_end) = duplex();
+pub fn serve_in_process() -> Client<IoTransport<PipeStream>> {
+    let (client_end, server_end) = duplex_stream();
     std::thread::Builder::new()
         .name("sinr-server-pipe-session".into())
-        .spawn(move || serve_session(server_end))
+        .spawn(move || serve_session(IoTransport::new(server_end)))
         .expect("spawn pipe session thread");
-    Client::new(client_end)
+    Client::new(IoTransport::new(client_end))
 }

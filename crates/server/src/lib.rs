@@ -7,9 +7,7 @@
 //! "algorithmically usable" at scale only when batches of query points
 //! can be served continuously — this crate is that service).
 //!
-//! The design is std-only (no async runtime exists in this workspace)
-//! with **two serving modes** and **two engine-ownership modes**,
-//! chosen independently:
+//! The design is std-only (no async runtime exists in this workspace):
 //!
 //! * **Engine ownership.** A session either `Bind`s — it gets a private
 //!   [`Network`](sinr_core::Network) and
@@ -24,13 +22,13 @@
 //!   in-flight batches finish on the old one (RCU — see
 //!   [`registry`] and `sinr_core::snapshot`). Memory scales with the
 //!   number of *(network, backend)* pairs, not the session count.
-//! * **Serving mode.** [`Server::spawn`] is classic
-//!   thread-per-connection — one blocking thread per session, ideal for
-//!   few heavy clients. [`Server::spawn_pooled`] multiplexes all
-//!   connections over a small fixed worker pool (nonblocking sockets, a
-//!   readiness poll loop, per-session state machines) — ideal for
-//!   hundreds of light clients, where a thread each would thrash. Both
-//!   drive the same [`session::SessionCore`], so behavior is identical
+//! * **Serving.** [`Server::spawn`] multiplexes every TCP connection
+//!   over a fixed worker pool, one worker per available CPU
+//!   (nonblocking sockets, a readiness poll loop, one
+//!   [`session::SessionCore`] state machine per connection): hundreds
+//!   of light clients cost a buffer each, and a few heavy ones keep
+//!   every worker busy. [`serve_in_process`] runs the same state
+//!   machine over an in-process byte pipe, so behaviour is identical
 //!   frame-for-frame.
 //!
 //! Either way a session accepts an arbitrary interleaving of query and
@@ -157,18 +155,16 @@
 //!   after `idle_deadline` between frames, and a session that has
 //!   *started* a frame must finish it within `frame_deadline` measured
 //!   from the frame's first byte — an absolute budget, so a slowloris
-//!   client dribbling one byte per read cannot re-arm the clock. Both
-//!   modes enforce both: threaded sessions re-arm `SO_RCVTIMEO` to the
-//!   *remaining* budget around each read
-//!   ([`transport::Deadlines`]), pooled workers sweep
-//!   [`PolledIo::partial_in`] timestamps on their existing poll loop.
-//!   Eviction closes the connection without a farewell frame.
+//!   client dribbling one byte per read cannot re-arm the clock. The
+//!   workers enforce both by sweeping [`PolledIo::partial_in`]
+//!   timestamps on their existing poll loop. Eviction closes the
+//!   connection without a farewell frame.
 //! * **Overload shedding** ([`ServerConfig::max_connections`]): past
 //!   the cap, a new connection gets one framed error code `19`
 //!   ([`ErrorCode::Overloaded`]) and is closed at accept time — before
 //!   any request frame is read, so retrying is always safe. Admission
 //!   is first-come: an existing session closing frees a slot.
-//! * **Out-queue cap** ([`ServerConfig::max_pending_out`]): a pooled
+//! * **Out-queue cap** ([`ServerConfig::max_pending_out`]): a
 //!   session whose peer stops reading its answers is disconnected once
 //!   the queued response bytes exceed the cap, instead of buffering
 //!   without bound.
@@ -177,7 +173,7 @@
 //!   arbitrary byte boundaries, injects `WouldBlock` and delays, and
 //!   cuts the connection mid-frame after a byte budget — one `u64`
 //!   seed replays one exact fault schedule. The chaos e2e suite runs
-//!   fleets of chaotic clients against both serving modes and pins
+//!   fleets of chaotic clients against the server and pins
 //!   every completed answer bit-identical to a fresh local engine.
 //! * **Reconnecting client** ([`resilient::ResilientClient`]):
 //!   reconnects with exponential backoff plus deterministic jitter,
@@ -250,8 +246,7 @@ pub use protocol::{
 pub use registry::{AttachGuard, AttachHandle, NamedNetwork, NetworkRegistry, UnregisterError};
 pub use resilient::{ResilientClient, RetryPolicy};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use session::{serve_session, serve_session_with_registry, SessionCore};
+pub use session::{serve_session, SessionCore};
 pub use transport::{
-    duplex, duplex_stream, Deadlines, IoTransport, PipeStream, PipeTransport, PolledIo, RecvError,
-    StreamCtl, TcpTransport, Transport,
+    duplex_stream, IoTransport, PipeStream, PolledIo, RecvError, TcpTransport, Transport,
 };

@@ -1,52 +1,41 @@
-//! The TCP face: accept loops, session threading, shutdown.
+//! The TCP face: the accept loop, the worker pool, shutdown.
 //!
-//! No async runtime exists in this workspace, so both serving modes are
-//! std-only:
+//! No async runtime exists in this workspace, so the server is std-only:
+//! a small fixed pool of workers ([`Server::spawn`], sized by
+//! [`std::thread::available_parallelism`], or [`Server::spawn_pooled`]
+//! for an explicit count) multiplexes *all* connections. Sockets are
+//! nonblocking ([`PolledIo`]), each connection is a [`SessionCore`]
+//! state machine, and a worker round-robins its connections, treating
+//! `WouldBlock` as "idle, move on". Hundreds of concurrent light
+//! clients cost hundreds of small buffers, not hundreds of stacks, and
+//! a few heavy clients keep every worker busy with engine work.
+//! Fairness is per-frame: a worker serves at most a bounded number of
+//! frames per connection per visit. An idle worker does not spin or
+//! park on a timer: it blocks in `poll(2)` over its sessions' sockets
+//! (plus `POLLOUT` for sessions with queued response bytes) and a wake
+//! pipe the accept thread writes after handing it a connection — zero
+//! syscalls while nothing happens, single-digit-microsecond wake-ups
+//! when something does (see [`readiness`](self)).
 //!
-//! * **Thread-per-connection** ([`Server::spawn`],
-//!   [`Server::serve_sessions`]) — one OS thread per connection, each
-//!   running the blocking session loop over a
-//!   [`TcpTransport`](crate::transport::TcpTransport). The right shape
-//!   for few heavy clients: a session streaming large batches keeps its
-//!   thread busy with engine work, and the kernel's blocking reads are
-//!   the cheapest possible readiness mechanism. It stops being right
-//!   when connections are many and light — hundreds of threads exist
-//!   mostly to sleep in `read(2)`, and every mutation wakes a stampede.
-//! * **Worker pool** ([`Server::spawn_pooled`]) — a small fixed pool of
-//!   workers multiplexes *all* connections: sockets are nonblocking
-//!   ([`PolledIo`]), each connection is a [`SessionCore`] state
-//!   machine, and a worker round-robins its connections, treating
-//!   `WouldBlock` as "idle, move on". Hundreds of concurrent light
-//!   clients cost hundreds of small buffers, not hundreds of stacks.
-//!   Fairness is per-frame: a worker serves at most a bounded number of
-//!   frames per connection per visit. An idle worker does not spin or
-//!   park on a timer: it blocks in `poll(2)` over its sessions' sockets
-//!   (plus `POLLOUT` for sessions with queued response bytes) and a
-//!   wake pipe the accept thread writes after handing it a connection —
-//!   zero syscalls while nothing happens, single-digit-microsecond
-//!   wake-ups when something does (see [`readiness`](self)).
-//!
-//! Both modes drive the same state machine through the same
-//! [`Transport`](crate::transport::Transport) trait, share one
-//! [`NetworkRegistry`] per server, and speak identical frames — the e2e
-//! suite pins bit-identical answers across the two.
+//! Every session of one server shares its [`NetworkRegistry`], and
+//! every [`ServerConfig`] limit — both session deadlines, connection
+//! shedding, the out-queue cap — is enforced here, on the workers'
+//! sweep or at accept.
 //!
 //! ## Shutdown
 //!
-//! [`ServerHandle::shutdown`] stops accepting, **closes every live
-//! session's socket** (a registered `TcpStream` clone per session —
-//! `shutdown(2)` unblocks a session thread parked in `read`), and joins
-//! with a bounded wait. Idle connected clients therefore no longer wedge
-//! shutdown — their sessions observe EOF and exit; a session that still
-//! refuses to die within the bound is abandoned (leaked thread) rather
-//! than hanging the caller forever.
+//! [`ServerHandle::shutdown`] stops accepting, wakes every worker, and
+//! joins with a bounded wait. A worker that sees the stop flag drops
+//! its sessions, closing their sockets, so idle connected clients
+//! cannot wedge shutdown; a thread that still refuses to finish within
+//! the bound is abandoned (leaked) rather than hanging the caller
+//! forever.
 
 use crate::protocol::{encode_response, ErrorCode, Response};
 use crate::registry::NetworkRegistry;
-use crate::session::{serve_session_with_registry, SessionCore};
-use crate::transport::{Deadlines, IoTransport, PolledIo, RecvError, MAX_PENDING_OUT};
+use crate::session::SessionCore;
+use crate::transport::{IoTransport, PolledIo, RecvError, MAX_PENDING_OUT};
 use crate::Transport;
-use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -78,8 +67,8 @@ const SHUTDOWN_JOIN_BOUND: Duration = Duration::from_secs(10);
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Evict a session that goes this long **between frames** (`None`
-    /// = never). An idle-but-connected client holds a thread (threaded
-    /// mode) or a buffer (pooled mode); this bounds how long.
+    /// = never). An idle-but-connected client holds a session buffer;
+    /// this bounds how long.
     pub idle_deadline: Option<Duration>,
     /// Evict a session that takes this long to deliver **one frame**,
     /// measured from its first byte (`None` = never). This is the
@@ -91,12 +80,12 @@ pub struct ServerConfig {
     /// [`ErrorCode::Overloaded`] and is closed — **no request frame is
     /// read**, so retrying is always safe.
     pub max_connections: Option<usize>,
-    /// Pooled mode's per-session out-queue byte cap (a peer that stops
+    /// The per-session out-queue byte cap (a peer that stops
     /// reading its answers is disconnected once this many response
     /// bytes queue). Clamped to at least one maximal frame; defaults
     /// to [`MAX_PENDING_OUT`].
     pub max_pending_out: usize,
-    /// How long [`ServerHandle::shutdown`] waits per thread before
+    /// How long [`ServerHandle::shutdown`] waits per server thread before
     /// abandoning it (counted on
     /// [`ServerHandle::abandoned_sessions`]).
     pub shutdown_join_bound: Duration,
@@ -115,13 +104,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn deadlines(&self) -> Deadlines {
-        Deadlines {
-            idle: self.idle_deadline,
-            frame: self.frame_deadline,
-        }
-    }
-
     /// The shortest configured deadline, if any — the pooled sweep's
     /// wait cap, so a blocked worker still wakes in time to evict.
     fn min_deadline(&self) -> Option<Duration> {
@@ -392,7 +374,7 @@ mod readiness {
 use readiness::{wake_pair, Readiness, Waker};
 
 /// A bound listener, not yet accepting. Every session this server ever
-/// serves — threaded or pooled — shares its [`NetworkRegistry`].
+/// serves shares its [`NetworkRegistry`].
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
@@ -417,8 +399,7 @@ impl Server {
     }
 
     /// Replaces the server's [`ServerConfig`] (deadlines, connection
-    /// cap, out-queue cap, shutdown bound). Applies to every serving
-    /// mode started afterwards.
+    /// cap, out-queue cap, shutdown bound).
     #[must_use]
     pub fn with_config(mut self, config: ServerConfig) -> Server {
         self.config = config;
@@ -445,98 +426,18 @@ impl Server {
         Arc::clone(&self.registry)
     }
 
-    /// Accepts and serves exactly `sessions` connections (each on its
-    /// own thread), joins them all, then returns — the inline mode the
-    /// client/server example pair and CI smoke tests use.
+    /// Starts the server with one worker per available CPU
+    /// ([`std::thread::available_parallelism`], which honours CPU
+    /// affinity; 1 if it cannot be read) — [`Server::spawn_pooled`]
+    /// with the count the machine reports.
     ///
     /// # Errors
     ///
-    /// Any [`io::Error`] from accepting.
-    pub fn serve_sessions(&self, sessions: usize) -> io::Result<()> {
-        let roster = Arc::new(Roster::default());
-        let gauge = Arc::new(ConnGauge::default());
-        let mut handles = Vec::with_capacity(sessions);
-        for _ in 0..sessions {
-            let (stream, _) = self.listener.accept()?;
-            if !gauge.try_admit(self.config.max_connections) {
-                shed_overloaded(stream);
-                continue;
-            }
-            handles.push(spawn_session(
-                stream,
-                Arc::clone(&self.registry),
-                Arc::clone(&roster),
-                Arc::clone(&gauge),
-                self.config.deadlines(),
-            ));
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        Ok(())
-    }
-
-    /// Starts the thread-per-connection accept loop on a background
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// Any [`io::Error`] from reading the local address.
+    /// Any [`io::Error`] from reading the local address or creating a
+    /// worker's wake pipe.
     pub fn spawn(self) -> io::Result<ServerHandle> {
-        let addr = self.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let roster = Arc::new(Roster::default());
-        let abandoned = Arc::new(AtomicUsize::new(0));
-        let registry = Arc::clone(&self.registry);
-        let stop_flag = Arc::clone(&stop);
-        let roster_accept = Arc::clone(&roster);
-        let abandoned_accept = Arc::clone(&abandoned);
-        let config = self.config.clone();
-        let listener = self.listener;
-        let accept = std::thread::Builder::new()
-            .name("sinr-server-accept".into())
-            .spawn(move || {
-                let gauge = Arc::new(ConnGauge::default());
-                let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-                for stream in listener.incoming() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        if !gauge.try_admit(config.max_connections) {
-                            shed_overloaded(stream);
-                            continue;
-                        }
-                        sessions.push(spawn_session(
-                            stream,
-                            Arc::clone(&registry),
-                            Arc::clone(&roster_accept),
-                            Arc::clone(&gauge),
-                            config.deadlines(),
-                        ));
-                    }
-                    // Reap sessions that already finished so the list
-                    // stays proportional to *live* connections.
-                    sessions.retain(|h| !h.is_finished());
-                }
-                for handle in sessions {
-                    if !join_bounded(handle, config.shutdown_join_bound) {
-                        abandoned_accept.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            })
-            .expect("spawn accept thread");
-        Ok(ServerHandle {
-            addr,
-            stop,
-            roster,
-            registry: self.registry,
-            abandoned,
-            join_bound: self.config.shutdown_join_bound,
-            accept: Some(accept),
-            workers: Vec::new(),
-            wakers: Vec::new(),
-        })
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.spawn_pooled(workers)
     }
 
     /// Starts the worker-pool server: an accept thread distributes
@@ -548,7 +449,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Any [`io::Error`] from reading the local address.
+    /// Any [`io::Error`] from reading the local address or creating a
+    /// worker's wake pipe.
     pub fn spawn_pooled(self, workers: usize) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let workers = workers.max(1);
@@ -610,95 +512,13 @@ impl Server {
         Ok(ServerHandle {
             addr,
             stop,
-            roster: Arc::new(Roster::default()),
             registry: self.registry,
-            abandoned: Arc::new(AtomicUsize::new(0)),
+            abandoned: 0,
             join_bound: self.config.shutdown_join_bound,
             accept: Some(accept),
             workers: worker_handles,
             wakers,
         })
-    }
-}
-
-fn spawn_session(
-    stream: TcpStream,
-    registry: Arc<NetworkRegistry>,
-    roster: Arc<Roster>,
-    gauge: Arc<ConnGauge>,
-    deadlines: Deadlines,
-) -> JoinHandle<()> {
-    // Request/response framing with small Mutate frames: Nagle +
-    // delayed ACK would serialize every round trip on a timer tick
-    // (measured ~100× on the churn_stream bench). Frames are written
-    // whole, so there is nothing for Nagle to coalesce anyway.
-    let _ = stream.set_nodelay(true);
-    let admitted = roster.register(&stream);
-    std::thread::Builder::new()
-        .name("sinr-server-session".into())
-        .spawn(move || {
-            let Some(id) = admitted else {
-                // The server is already shutting down: the roster shut
-                // the socket before we got here.
-                gauge.release();
-                return;
-            };
-            serve_session_with_registry(IoTransport::with_deadlines(stream, deadlines), registry);
-            roster.deregister(id);
-            gauge.release();
-        })
-        .expect("spawn session thread")
-}
-
-/// The live-session book of a threaded server: one `TcpStream` clone
-/// per session, so shutdown can `shutdown(2)` sockets that session
-/// threads are blocked reading (an idle connected client would
-/// otherwise pin its thread — and the whole shutdown — forever).
-#[derive(Debug, Default)]
-struct Roster {
-    inner: Mutex<RosterInner>,
-}
-
-#[derive(Debug, Default)]
-struct RosterInner {
-    next_id: u64,
-    streams: HashMap<u64, TcpStream>,
-    closing: bool,
-}
-
-impl Roster {
-    /// Admits a session, keeping a socket clone for shutdown. `None`
-    /// refuses the session (the roster is closing; the socket was shut
-    /// down in place).
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let mut inner = self.inner.lock().expect("roster lock");
-        if inner.closing {
-            let _ = stream.shutdown(Shutdown::Both);
-            return None;
-        }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        // A failed clone just means this session is untracked (shutdown
-        // cannot unblock it early); serving it is still correct.
-        if let Ok(clone) = stream.try_clone() {
-            inner.streams.insert(id, clone);
-        }
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.inner.lock().expect("roster lock").streams.remove(&id);
-    }
-
-    /// Shuts down every tracked socket and refuses all future
-    /// admissions.
-    fn close_all(&self) {
-        let mut inner = self.inner.lock().expect("roster lock");
-        inner.closing = true;
-        for stream in inner.streams.values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        inner.streams.clear();
     }
 }
 
@@ -719,17 +539,17 @@ struct PooledSession {
 }
 
 impl PooledSession {
-    /// True when the session has outlived one of `deadlines`' bounds:
+    /// True when the session has outlived one of `config`'s deadlines:
     /// mid-frame sessions answer to the frame deadline, in-between
     /// sessions to the idle deadline. Called by the worker sweep; an
     /// overdue session is dropped (closing its socket).
-    fn overdue(&mut self, deadlines: &Deadlines, now: Instant) -> bool {
+    fn overdue(&mut self, config: &ServerConfig, now: Instant) -> bool {
         if self.io.partial_in() > 0 {
             let since = *self.partial_since.get_or_insert(now);
-            matches!(deadlines.frame, Some(bound) if now.duration_since(since) > bound)
+            matches!(config.frame_deadline, Some(bound) if now.duration_since(since) > bound)
         } else {
             self.partial_since = None;
-            matches!(deadlines.idle, Some(bound) if now.duration_since(self.last_frame) > bound)
+            matches!(config.idle_deadline, Some(bound) if now.duration_since(self.last_frame) > bound)
         }
     }
 }
@@ -817,7 +637,6 @@ fn worker_loop(
     gauge: &ConnGauge,
     config: &ServerConfig,
 ) {
-    let deadlines = config.deadlines();
     // A deadline-carrying worker must wake often enough to evict on
     // time even when no socket turns ready.
     let wait_ms = match config.min_deadline() {
@@ -859,7 +678,7 @@ fn worker_loop(
                 true
             }
             Step::Idle => {
-                if session.overdue(&deadlines, now) {
+                if session.overdue(config, now) {
                     // Dropping the session closes its socket: the
                     // slow/idle peer sees the connection die.
                     gauge.release();
@@ -899,8 +718,7 @@ fn join_bounded(handle: JoinHandle<()>, bound: Duration) -> bool {
     true
 }
 
-/// A running background server (see [`Server::spawn`] and
-/// [`Server::spawn_pooled`]).
+/// A running background server (see [`Server::spawn`]).
 ///
 /// Dropping the handle shuts the server down (same as
 /// [`ServerHandle::shutdown`]).
@@ -908,17 +726,16 @@ fn join_bounded(handle: JoinHandle<()>, bound: Duration) -> bool {
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    roster: Arc<Roster>,
     registry: Arc<NetworkRegistry>,
     /// Threads shutdown gave up waiting for (see
     /// [`ServerHandle::abandoned_sessions`]).
-    abandoned: Arc<AtomicUsize>,
+    abandoned: usize,
     join_bound: Duration,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// One per pooled worker (empty for threaded servers): shutdown
-    /// writes them so workers blocked in a readiness wait exit promptly
-    /// instead of riding out the timeout backstop.
+    /// One per worker: shutdown writes them so workers blocked in a
+    /// readiness wait exit promptly instead of riding out the timeout
+    /// backstop.
     wakers: Vec<Waker>,
 }
 
@@ -935,22 +752,21 @@ impl ServerHandle {
     }
 
     /// How many threads shutdown has abandoned after their
-    /// [`ServerConfig::shutdown_join_bound`] expired: session threads
-    /// in threaded mode, plus one per wedged accept/worker thread.
-    /// Nonzero means a leak — bounded-shutdown tests pin this to 0.
+    /// [`ServerConfig::shutdown_join_bound`] expired: one per wedged
+    /// accept or worker thread. Nonzero means a leak — bounded-shutdown
+    /// tests pin this to 0.
     pub fn abandoned_sessions(&self) -> usize {
-        self.abandoned.load(Ordering::SeqCst)
+        self.abandoned
     }
 
-    /// Stops accepting, closes every live session's socket (so idle
-    /// connected clients cannot wedge the join — their sessions see EOF
-    /// and exit), and joins all server threads with a bounded wait.
-    /// Returns the total number of threads abandoned over this server's
-    /// lifetime (see [`ServerHandle::abandoned_sessions`]); 0 is the
-    /// clean case.
+    /// Stops accepting, wakes every worker (each drops its sessions,
+    /// closing their sockets, so idle connected clients cannot wedge
+    /// the join), and joins all server threads with a bounded wait.
+    /// Returns the number of threads abandoned (see
+    /// [`ServerHandle::abandoned_sessions`]); 0 is the clean case.
     pub fn shutdown(mut self) -> usize {
         self.shutdown_inner();
-        self.abandoned.load(Ordering::SeqCst)
+        self.abandoned
     }
 
     fn shutdown_inner(&mut self) {
@@ -960,18 +776,16 @@ impl ServerHandle {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        // Unblock session threads parked in read(2).
-        self.roster.close_all();
-        // Unblock pooled workers blocked in their readiness wait.
+        // Unblock workers blocked in their readiness wait.
         for waker in &self.wakers {
             waker.wake();
         }
         if !join_bounded(accept, self.join_bound) {
-            self.abandoned.fetch_add(1, Ordering::SeqCst);
+            self.abandoned += 1;
         }
         for worker in self.workers.drain(..) {
             if !join_bounded(worker, self.join_bound) {
-                self.abandoned.fetch_add(1, Ordering::SeqCst);
+                self.abandoned += 1;
             }
         }
     }

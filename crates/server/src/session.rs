@@ -1,9 +1,10 @@
 //! The per-connection session state machine: decode → dispatch → encode.
 //!
 //! One [`SessionCore`] serves one client. It is transport-agnostic —
-//! [`serve_session`] drives it over a blocking [`Transport`], and the
-//! worker-pool server drives many cores over polled transports from a
-//! fixed set of threads — and it runs in one of three modes:
+//! the worker-pool server drives many cores over polled sockets from a
+//! fixed set of threads, and [`serve_session`] drives one over a
+//! blocking [`Transport`] (the in-process pipe) — and it runs in one of
+//! three modes:
 //!
 //! * **Unbound** — fresh session; only `Bind`, `Attach` and `Register`
 //!   do real work.
@@ -21,6 +22,10 @@
 //!   finishes on the old snapshot, which frees when released).
 //!
 //! `Register` works in any mode and does not change the session's mode.
+//! The five query frames resolve the mode once into one [`QueryView`]
+//! (engine, station count, backend) and are answered by one code path
+//! whichever engine it names; only `Mutate` keeps a private and an
+//! attached arm, because their fencing differs.
 //!
 //! ## Pipelined mode
 //!
@@ -75,8 +80,8 @@ use crate::registry::{
 use crate::transport::{RecvError, Transport, MAX_FRAME_LEN};
 use sinr_core::engine::BoxedEngine;
 use sinr_core::{
-    ChannelError, ChannelModel, Located, McConfig, Network, NetworkDelta, QueryEngine,
-    SnapshotStore, StationId,
+    ChannelError, ChannelModel, EngineSnapshot, Located, McConfig, Network, NetworkDelta,
+    QueryEngine, SnapshotStore, StationId,
 };
 use sinr_geometry::Point;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -109,11 +114,21 @@ enum Mode {
     Attached(AttachedState),
 }
 
+/// What one query frame runs against, resolved once from the session
+/// mode: the private engine, or the engine of the snapshot an attached
+/// session just loaded (the caller holds that `Arc` for the frame).
+#[derive(Clone, Copy)]
+struct QueryView<'a> {
+    engine: &'a BoxedEngine,
+    stations: usize,
+    backend: BackendId,
+}
+
 /// The transport-independent session state machine: feed it one request
 /// payload at a time ([`SessionCore::handle_payload`]), send back the
-/// bytes it returns. Both the blocking per-connection loop
-/// ([`serve_session`]) and the worker-pool server drive sessions
-/// through this type, so the two serving modes cannot drift apart.
+/// bytes it returns. The worker-pool server and the blocking loop
+/// ([`serve_session`]) both drive sessions through this type, so TCP and
+/// in-process sessions cannot drift apart.
 pub struct SessionCore {
     registry: Arc<NetworkRegistry>,
     mode: Mode,
@@ -249,22 +264,10 @@ impl SessionCore {
                     Err(AttachError::BackendBuild(msg)) => error(ErrorCode::BackendBuild, msg),
                 }
             }
-            Request::LocateBatch { points } => match &self.mode {
-                Mode::Unbound => not_bound(),
-                Mode::Private(bound) => locate_on(&bound.engine, &points),
-                Mode::Attached(att) => match load_snapshot(att) {
-                    Ok(snap) => locate_on(snap.engine(), &points),
-                    Err(resp) => resp,
-                },
-            },
-            Request::SinrBatch { station, points } => match &self.mode {
-                Mode::Unbound => not_bound(),
-                Mode::Private(bound) => sinrs_on(&bound.engine, bound.net.len(), station, &points),
-                Mode::Attached(att) => match load_snapshot(att) {
-                    Ok(snap) => sinrs_on(snap.engine(), snap.stations(), station, &points),
-                    Err(resp) => resp,
-                },
-            },
+            Request::LocateBatch { points } => self.query(|view| locate_on(view.engine, &points)),
+            Request::SinrBatch { station, points } => {
+                self.query(|view| sinrs_on(view, station, &points))
+            }
             Request::Mutate {
                 expected_revision,
                 ops,
@@ -337,23 +340,7 @@ impl SessionCore {
                 seed,
                 channel,
                 points,
-            } => match &self.mode {
-                Mode::Unbound => not_bound(),
-                Mode::Private(bound) => reception_on(
-                    &bound.engine,
-                    bound.backend,
-                    trials,
-                    seed,
-                    &channel,
-                    &points,
-                ),
-                Mode::Attached(att) => match load_snapshot(att) {
-                    Ok(snap) => {
-                        reception_on(snap.engine(), att.backend, trials, seed, &channel, &points)
-                    }
-                    Err(resp) => resp,
-                },
-            },
+            } => self.query(|view| reception_on(view, trials, seed, &channel, &points)),
             Request::SinrQuantilesBatch {
                 station,
                 trials,
@@ -361,47 +348,15 @@ impl SessionCore {
                 channel,
                 quantiles,
                 points,
-            } => match &self.mode {
-                Mode::Unbound => not_bound(),
-                Mode::Private(bound) => quantiles_on(
-                    &bound.engine,
-                    bound.net.len(),
-                    bound.backend,
-                    station,
-                    trials,
-                    seed,
-                    &channel,
-                    &quantiles,
-                    &points,
-                ),
-                Mode::Attached(att) => match load_snapshot(att) {
-                    Ok(snap) => quantiles_on(
-                        snap.engine(),
-                        snap.stations(),
-                        att.backend,
-                        station,
-                        trials,
-                        seed,
-                        &channel,
-                        &quantiles,
-                        &points,
-                    ),
-                    Err(resp) => resp,
-                },
-            },
+            } => self.query(|view| {
+                quantiles_on(view, station, trials, seed, &channel, &quantiles, &points)
+            }),
             Request::HeatmapBatch {
                 min,
                 max,
                 width,
                 height,
-            } => match &self.mode {
-                Mode::Unbound => not_bound(),
-                Mode::Private(bound) => heatmap_on(&bound.engine, min, max, width, height),
-                Mode::Attached(att) => match load_snapshot(att) {
-                    Ok(snap) => heatmap_on(snap.engine(), min, max, width, height),
-                    Err(resp) => resp,
-                },
-            },
+            } => self.query(|view| heatmap_on(view.engine, min, max, width, height)),
             Request::Unregister { name } => match self.registry.unregister(&name) {
                 Ok(()) => Response::Unregistered,
                 Err(UnregisterError::UnknownNetwork) => error(
@@ -415,28 +370,50 @@ impl SessionCore {
             },
         }
     }
+
+    /// Resolves the session mode into the [`QueryView`] one query frame
+    /// runs against and answers it there: `NotBound` when unbound, the
+    /// typed detach error when an attached session's store is poisoned.
+    fn query(&self, answer: impl FnOnce(QueryView<'_>) -> Response) -> Response {
+        let snapshot: Arc<EngineSnapshot>;
+        let view = match &self.mode {
+            Mode::Unbound => return not_bound(),
+            Mode::Private(bound) => QueryView {
+                engine: &bound.engine,
+                stations: bound.net.len(),
+                backend: bound.backend,
+            },
+            Mode::Attached(att) => {
+                snapshot = match load_snapshot(att) {
+                    Ok(snapshot) => snapshot,
+                    Err(resp) => return resp,
+                };
+                QueryView {
+                    engine: snapshot.engine(),
+                    stations: snapshot.stations(),
+                    backend: att.backend,
+                }
+            }
+        };
+        answer(view)
+    }
 }
 
 /// Serves one client to completion over a **private** registry: reads
 /// frames until the peer closes (or the stream becomes unrecoverable)
 /// and answers every request with exactly one response frame. With a
 /// per-session registry, `Register`ed networks are invisible to other
-/// sessions — the share-nothing contract of the original server. Accept
-/// loops that want shared networks use
-/// [`serve_session_with_registry`].
+/// sessions — the share-nothing contract of the original server. This
+/// is the blocking loop behind [`serve_in_process`](crate::serve_in_process);
+/// TCP connections are served by the worker pool
+/// ([`Server::spawn`](crate::server::Server::spawn)), whose sessions
+/// share one registry.
 ///
 /// Never panics out: frame handling runs under `catch_unwind`, and a
 /// caught panic answers [`ErrorCode::Internal`] before dropping the
 /// connection.
-pub fn serve_session<T: Transport>(transport: T) {
-    serve_session_with_registry(transport, Arc::new(NetworkRegistry::new()));
-}
-
-/// [`serve_session`] against a shared [`NetworkRegistry`]: every
-/// session served with the same `registry` sees the same named
-/// networks and shares their snapshot stores.
-pub fn serve_session_with_registry<T: Transport>(mut transport: T, registry: Arc<NetworkRegistry>) {
-    let mut core = SessionCore::new(registry);
+pub fn serve_session<T: Transport>(mut transport: T) {
+    let mut core = SessionCore::new(Arc::new(NetworkRegistry::new()));
     loop {
         let payload = match transport.recv_frame() {
             Ok(Some(payload)) => payload,
@@ -449,11 +426,6 @@ pub fn serve_session_with_registry<T: Transport>(mut transport: T, registry: Arc
                 )));
                 return;
             }
-            // A session deadline expired (idle or mid-frame slowloris —
-            // see [`crate::transport::Deadlines`]): evict by closing.
-            // No error frame: an idle peer will learn on its next use,
-            // and a dribbling peer is exactly who we stop serving.
-            Err(RecvError::DeadlineExpired { .. }) => return,
             // I/O failure or EOF mid-frame: nothing sensible to say.
             Err(_) => return,
         };
@@ -485,7 +457,7 @@ fn already_bound() -> Response {
 /// The attached session's current snapshot, or the typed detach error
 /// (the caller returns it; [`SessionCore::handle_payload`] sees the
 /// [`ErrorCode::UnknownNetwork`] and drops the session to unbound).
-fn load_snapshot(att: &AttachedState) -> Result<Arc<sinr_core::EngineSnapshot>, Response> {
+fn load_snapshot(att: &AttachedState) -> Result<Arc<EngineSnapshot>, Response> {
     att.store.load().map_err(|e| {
         error(
             ErrorCode::UnknownNetwork,
@@ -520,13 +492,14 @@ fn catch_up(bound: &mut BoundState, deltas: &[NetworkDelta]) -> Result<(), Respo
 }
 
 fn locate_on(engine: &BoxedEngine, points: &[Point]) -> Response {
+    if let Err(e) = engine.freshness() {
+        return error(ErrorCode::Stale, e.to_string());
+    }
     let mut answers = vec![Located::Silent; points.len()];
-    match engine.try_locate_batch(points, &mut answers) {
-        Ok(()) => Response::Located {
-            revision: engine.revision(),
-            answers,
-        },
-        Err(e) => error(ErrorCode::Stale, e.to_string()),
+    engine.locate_batch(points, &mut answers);
+    Response::Located {
+        revision: engine.revision(),
+        answers,
     }
 }
 
@@ -618,34 +591,45 @@ fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: 
     }
 }
 
-fn sinrs_on(
-    engine: &BoxedEngine,
-    stations: usize,
-    station: StationId,
-    points: &[Point],
-) -> Response {
-    if station.0 >= stations {
-        return error(
+/// The typed refusal of a station index a `stations`-station network
+/// lacks.
+fn station_out_of_range(stations: usize, station: StationId) -> Option<Response> {
+    (station.0 >= stations).then(|| {
+        error(
             ErrorCode::StationOutOfRange,
             format!(
                 "station {} out of range (network has {})",
                 station.0, stations
             ),
-        );
+        )
+    })
+}
+
+fn sinrs_on(
+    QueryView {
+        engine, stations, ..
+    }: QueryView<'_>,
+    station: StationId,
+    points: &[Point],
+) -> Response {
+    if let Some(resp) = station_out_of_range(stations, station) {
+        return resp;
+    }
+    if let Err(e) = engine.freshness() {
+        return error(ErrorCode::Stale, e.to_string());
     }
     let mut values = vec![0.0; points.len()];
-    match engine.try_sinr_batch(station, points, &mut values) {
-        Ok(()) => Response::Sinrs {
-            revision: engine.revision(),
-            values,
-        },
-        Err(e) => error(ErrorCode::Stale, e.to_string()),
+    engine.sinr_batch(station, points, &mut values);
+    Response::Sinrs {
+        revision: engine.revision(),
+        values,
     }
 }
 
 fn reception_on(
-    engine: &BoxedEngine,
-    backend: BackendId,
+    QueryView {
+        engine, backend, ..
+    }: QueryView<'_>,
     trials: u32,
     seed: u64,
     channel: &ChannelModel,
@@ -667,11 +651,12 @@ fn reception_on(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn quantiles_on(
-    engine: &BoxedEngine,
-    stations: usize,
-    backend: BackendId,
+    QueryView {
+        engine,
+        stations,
+        backend,
+    }: QueryView<'_>,
     station: StationId,
     trials: u32,
     seed: u64,
@@ -679,14 +664,8 @@ fn quantiles_on(
     quantiles: &[f64],
     points: &[Point],
 ) -> Response {
-    if station.0 >= stations {
-        return error(
-            ErrorCode::StationOutOfRange,
-            format!(
-                "station {} out of range (network has {})",
-                station.0, stations
-            ),
-        );
+    if let Some(resp) = station_out_of_range(stations, station) {
+        return resp;
     }
     // The response carries points × quantiles f64s; refuse grids whose
     // *response* could not fit in one frame (the request decoded fine,

@@ -4,10 +4,7 @@
 //! The wire unit of the protocol is the **frame**: a little-endian
 //! `u32` payload length followed by that many payload bytes (see the
 //! [crate docs](crate) for the payload grammar). The [`Transport`]
-//! trait is the session loop's only view of the connection, so the
-//! same [`serve_session`](crate::session::serve_session) serves a real
-//! [`TcpStream`] and the loopback-free in-process [`PipeTransport`]
-//! the tests and benches use.
+//! trait is a session's only view of the connection.
 //!
 //! Framing is where adversarial input meets the server first, so the
 //! failure modes are typed: a clean EOF between frames is `Ok(None)`, a
@@ -15,23 +12,27 @@
 //! length prefix beyond [`MAX_FRAME_LEN`] is [`RecvError::Oversized`]
 //! (detected **before** any allocation — a 4-byte prefix can claim 4 GiB).
 //!
-//! Three implementations ship: the blocking [`IoTransport`] (one
-//! thread per connection), the in-process [`PipeTransport`] (tests and
-//! benches, no sockets), and the nonblocking [`PolledIo`] the
-//! worker-pool server multiplexes — same trait, so the session state
-//! machine cannot tell them apart. `PolledIo` extends the contract in
-//! one backward-compatible way: `recv_frame` returns
-//! `Err(RecvError::Io(e))` with `e.kind() == WouldBlock` when no
-//! complete frame has arrived *yet* (not an error — poll again), and
-//! `send_frame` queues into an internal buffer that
-//! [`PolledIo::flush_pending`] drains as the socket accepts it.
+//! Two implementations ship, both over any byte stream:
+//!
+//! * the blocking [`IoTransport`] — the client's transport, and the
+//!   server side of an in-process session over a [`PipeStream`] (a
+//!   byte pipe made by [`duplex_stream`]; tests, benches and examples
+//!   run sessions over it with no sockets);
+//! * the nonblocking [`PolledIo`] the worker-pool server multiplexes
+//!   its TCP connections on. It extends the contract in one
+//!   backward-compatible way: `recv_frame` returns
+//!   `Err(RecvError::Io(e))` with `e.kind() == WouldBlock` when no
+//!   complete frame has arrived *yet* (not an error — poll again), and
+//!   `send_frame` queues into an internal buffer that
+//!   [`PolledIo::flush_pending`] drains as the socket accepts it.
+//!
+//! Session deadlines are not a transport concern: the pool's workers
+//! enforce them from [`PolledIo::partial_in`] on their sweep.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Upper bound on a frame's payload length: 16 MiB (~500k query points
 /// per `LocateBatch`). A prefix claiming more is rejected as
@@ -56,16 +57,6 @@ pub enum RecvError {
         /// Bytes the current unit (prefix or payload) still needed.
         missing: usize,
     },
-    /// A session deadline expired (see
-    /// [`IoTransport::with_deadlines`]): either the peer sent nothing
-    /// for the idle bound, or it left a frame half-sent past the
-    /// mid-frame bound (the slowloris posture). The connection should
-    /// be dropped.
-    DeadlineExpired {
-        /// `true` when the deadline expired with a frame half-received
-        /// (mid-frame read deadline); `false` for the idle deadline.
-        mid_frame: bool,
-    },
 }
 
 impl std::fmt::Display for RecvError {
@@ -79,15 +70,6 @@ impl std::fmt::Display for RecvError {
             RecvError::TruncatedFrame { missing } => {
                 write!(f, "connection closed mid-frame ({missing} bytes short)")
             }
-            RecvError::DeadlineExpired { mid_frame } => write!(
-                f,
-                "session deadline expired ({})",
-                if *mid_frame {
-                    "frame half-received past the mid-frame read bound"
-                } else {
-                    "no frame started within the idle bound"
-                }
-            ),
         }
     }
 }
@@ -104,34 +86,6 @@ impl std::error::Error for RecvError {
 impl From<io::Error> for RecvError {
     fn from(e: io::Error) -> Self {
         RecvError::Io(e)
-    }
-}
-
-/// Byte streams that can bound how long a single `read` may block —
-/// the capability [`IoTransport::with_deadlines`] builds the session
-/// deadlines on. A timed-out read must surface as an [`io::Error`] of
-/// kind `WouldBlock` or `TimedOut`.
-///
-/// Implemented by [`TcpStream`] (via
-/// [`set_read_timeout`](TcpStream::set_read_timeout)), by
-/// [`PipeStream`] (a condvar wait bound), and by
-/// [`ChaosStream`](crate::chaos::ChaosStream) (delegating to its inner
-/// stream) — so deadline-enforcing sessions run identically over real
-/// sockets, the in-process pipe, and chaotic wrappings of either.
-pub trait StreamCtl {
-    /// Bounds how long one `read` call may block; `None` restores
-    /// unbounded blocking.
-    ///
-    /// # Errors
-    ///
-    /// Any [`io::Error`] from the underlying mechanism (e.g. the
-    /// `SO_RCVTIMEO` syscall).
-    fn set_read_limit(&self, limit: Option<Duration>) -> io::Result<()>;
-}
-
-impl StreamCtl for TcpStream {
-    fn set_read_limit(&self, limit: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(limit)
     }
 }
 
@@ -157,57 +111,20 @@ pub trait Transport: Send {
     fn recv_frame(&mut self) -> Result<Option<Vec<u8>>, RecvError>;
 }
 
-/// The session deadlines a blocking transport enforces (see
-/// [`IoTransport::with_deadlines`]). Both are independent and optional;
-/// the all-`None` default is the historical unbounded behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Deadlines {
-    /// Longest the peer may sit between frames (measured from one
-    /// frame's completion to the next frame's first byte) before the
-    /// session is evicted with `DeadlineExpired { mid_frame: false }`.
-    pub idle: Option<Duration>,
-    /// Longest a single frame may take from its first byte to its last
-    /// before the session is evicted with `DeadlineExpired { mid_frame:
-    /// true }` — the slowloris defense: a client dribbling one byte per
-    /// second holds a thread (or pool slot) only this long, however
-    /// regular the dribble.
-    pub frame: Option<Duration>,
-}
-
-impl Deadlines {
-    /// No bounds (the permissive default).
-    pub const NONE: Deadlines = Deadlines {
-        idle: None,
-        frame: None,
-    };
-
-    fn any(&self) -> bool {
-        self.idle.is_some() || self.frame.is_some()
-    }
-}
-
-/// Floor on an armed read limit: `set_read_timeout(Some(ZERO))` is an
-/// error by contract, and sub-millisecond limits just burn syscalls.
-const MIN_READ_LIMIT: Duration = Duration::from_millis(1);
-
-/// [`Transport`] over any byte stream (the TCP path).
+/// Blocking [`Transport`] over any byte stream: the client's TCP
+/// transport, and both ends of an in-process [`PipeStream`] session.
 #[derive(Debug)]
 pub struct IoTransport<S: Read + Write + Send> {
     stream: S,
-    deadlines: Deadlines,
 }
 
 /// The concrete transport of a real network connection.
 pub type TcpTransport = IoTransport<TcpStream>;
 
 impl<S: Read + Write + Send> IoTransport<S> {
-    /// Wraps a byte stream (no deadlines — reads block indefinitely,
-    /// the historical behaviour).
+    /// Wraps a byte stream; reads block until a frame arrives.
     pub fn new(stream: S) -> Self {
-        IoTransport {
-            stream,
-            deadlines: Deadlines::NONE,
-        }
+        IoTransport { stream }
     }
 
     /// The wrapped stream.
@@ -215,8 +132,7 @@ impl<S: Read + Write + Send> IoTransport<S> {
         &self.stream
     }
 
-    /// Unwraps the transport, returning the stream (any armed read
-    /// limit is left as-is).
+    /// Unwraps the transport, returning the stream.
     pub fn into_inner(self) -> S {
         self.stream
     }
@@ -244,101 +160,7 @@ impl<S: Read + Write + Send> IoTransport<S> {
     }
 }
 
-impl<S: Read + Write + Send + StreamCtl> IoTransport<S> {
-    /// Wraps a byte stream with session deadlines: reads that would
-    /// violate `deadlines` fail with [`RecvError::DeadlineExpired`]
-    /// instead of blocking forever. The mechanism is the stream's own
-    /// read limit ([`StreamCtl`]): while waiting for a frame to *start*
-    /// the limit is the idle bound; once the first byte arrives the
-    /// limit is re-armed each read to the **remaining** mid-frame
-    /// budget, so a peer dribbling bytes cannot reset the clock —
-    /// total time per frame is bounded, not time per byte.
-    pub fn with_deadlines(stream: S, deadlines: Deadlines) -> Self {
-        IoTransport { stream, deadlines }
-    }
-
-    /// As [`IoTransport::read_unit`], but gives up at `deadline`
-    /// (re-arming the stream's read limit to the remaining budget
-    /// before each read).
-    fn read_unit_until(
-        &mut self,
-        buf: &mut [u8],
-        deadline: Option<Instant>,
-        mid_frame: bool,
-    ) -> Result<bool, RecvError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            if let Some(deadline) = deadline {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(RecvError::DeadlineExpired { mid_frame });
-                }
-                self.stream
-                    .set_read_limit(Some(remaining.max(MIN_READ_LIMIT)))?;
-            }
-            match self.stream.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    if filled == 0 && !mid_frame {
-                        return Ok(false);
-                    }
-                    return Err(RecvError::TruncatedFrame {
-                        missing: buf.len() - filled,
-                    });
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if deadline.is_some()
-                        && matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                {
-                    // A timed-out read: loop back, where the remaining
-                    // budget is re-checked (it may have been a spurious
-                    // early return).
-                }
-                Err(e) => return Err(RecvError::Io(e)),
-            }
-        }
-        Ok(true)
-    }
-
-    /// [`Transport::recv_frame`] with the deadline machinery: one byte
-    /// read under the idle bound starts the frame clock, everything
-    /// after it runs against the mid-frame budget.
-    fn recv_frame_deadlined(&mut self) -> Result<Option<Vec<u8>>, RecvError> {
-        // Idle phase: wait for the frame's first byte alone, bounded by
-        // the idle deadline.
-        let mut first = [0u8; 1];
-        let idle_deadline = self.deadlines.idle.map(|d| Instant::now() + d);
-        if !self.read_unit_until(&mut first, idle_deadline, false)? {
-            return Ok(None);
-        }
-        // Frame phase: the rest of the prefix and the payload share one
-        // absolute budget, started by the first byte.
-        let frame_deadline = self.deadlines.frame.map(|d| Instant::now() + d);
-        if frame_deadline.is_none() {
-            // No mid-frame bound: restore unbounded reads (the idle
-            // phase may have armed a limit on the stream).
-            self.stream.set_read_limit(None)?;
-        }
-        let mut rest = [0u8; 3];
-        self.read_unit_until(&mut rest, frame_deadline, true)?;
-        let prefix = [first[0], rest[0], rest[1], rest[2]];
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(RecvError::Oversized { len: len as u64 });
-        }
-        let mut payload = vec![0u8; len];
-        if len > 0 {
-            self.read_unit_until(&mut payload, frame_deadline, true)?;
-        }
-        Ok(Some(payload))
-    }
-}
-
-impl<S: Read + Write + Send + StreamCtl> Transport for IoTransport<S> {
+impl<S: Read + Write + Send> Transport for IoTransport<S> {
     fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
         if payload.len() > MAX_FRAME_LEN {
             return Err(io::Error::new(
@@ -356,9 +178,6 @@ impl<S: Read + Write + Send + StreamCtl> Transport for IoTransport<S> {
     }
 
     fn recv_frame(&mut self) -> Result<Option<Vec<u8>>, RecvError> {
-        if self.deadlines.any() {
-            return self.recv_frame_deadlined();
-        }
         let mut prefix = [0u8; 4];
         if !self.read_unit(&mut prefix)? {
             return Ok(None);
@@ -377,6 +196,10 @@ impl<S: Read + Write + Send + StreamCtl> Transport for IoTransport<S> {
         Ok(Some(payload))
     }
 }
+
+/// Most bytes one [`PolledIo`] read burst asks for while no frame
+/// prefix is buffered.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Cap on bytes queued in a [`PolledIo`]'s outgoing buffer: two maximal
 /// frames. A session whose peer stops draining responses while more
@@ -484,7 +307,12 @@ impl<S: Read + Write + Send> PolledIo<S> {
         Ok(true)
     }
 
-    /// Pops one complete frame from the input buffer, if present.
+    /// Pops one complete frame from the input buffer, if present. When
+    /// the buffer holds exactly that frame — the common case, one
+    /// request per read burst — the buffer itself becomes the payload
+    /// (its 4-byte prefix shifted out), so a session never holds a
+    /// second frame-sized copy and keeps no peak-sized buffer between
+    /// frames.
     fn take_frame(&mut self) -> Result<Option<Vec<u8>>, RecvError> {
         if self.in_buf.len() < 4 {
             return Ok(None);
@@ -495,6 +323,11 @@ impl<S: Read + Write + Send> PolledIo<S> {
         }
         if self.in_buf.len() < 4 + len {
             return Ok(None);
+        }
+        if self.in_buf.len() == 4 + len {
+            let mut payload = std::mem::take(&mut self.in_buf);
+            payload.drain(..4);
+            return Ok(Some(payload));
         }
         let payload = self.in_buf[4..4 + len].to_vec();
         self.in_buf.drain(..4 + len);
@@ -512,18 +345,34 @@ impl<S: Read + Write + Send> PolledIo<S> {
         }
     }
 
-    /// One nonblocking read burst into the input buffer; `Ok(0)` is EOF.
+    /// One nonblocking read burst straight into the input buffer, of
+    /// at most [`READ_CHUNK`] bytes; `Ok(0)` is EOF. Once a length
+    /// prefix is buffered, the rest of its frame is reserved at once, so
+    /// a large frame lands in one allocation of its own size rather than
+    /// in a doubling chain. Only the bytes a read may fill are
+    /// initialised, so a peer that claims a large frame and sends
+    /// nothing pins no memory.
     fn try_fill(&mut self) -> io::Result<usize> {
-        let mut chunk = [0u8; 64 * 1024];
-        let n = self.stream.read(&mut chunk)?;
-        self.in_buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
+        let start = self.in_buf.len();
+        let want = if start < 4 {
+            READ_CHUNK
+        } else {
+            self.missing()
+        };
+        self.in_buf.reserve_exact(want);
+        self.in_buf.resize(start + want.min(READ_CHUNK), 0);
+        let read = self.stream.read(&mut self.in_buf[start..]);
+        self.in_buf
+            .truncate(start + read.as_ref().map_or(0, |n| *n));
+        read
     }
 }
 
 impl<S: Read + Write + Send> Transport for PolledIo<S> {
-    /// Queues the frame; bytes reach the socket opportunistically (here
-    /// and in later [`PolledIo::flush_pending`] calls).
+    /// Sends the frame as far as the socket takes it now and queues the
+    /// rest for later [`PolledIo::flush_pending`] calls. With nothing
+    /// queued ahead of it — the common case — the frame is written
+    /// straight from `payload`, never copied into the queue.
     ///
     /// # Errors
     ///
@@ -546,8 +395,30 @@ impl<S: Read + Write + Send> Transport for PolledIo<S> {
                 "slow consumer: outgoing frame queue exceeds its byte cap",
             ));
         }
-        self.out_buf.extend((payload.len() as u32).to_le_bytes());
-        self.out_buf.extend(payload.iter().copied());
+        let prefix = (payload.len() as u32).to_le_bytes();
+        let mut sent = 0;
+        // Only a frame with nothing queued ahead of it may skip the queue.
+        while self.out_buf.is_empty() && sent < 4 + payload.len() {
+            let (head, tail) = if sent < 4 {
+                (&prefix[sent..], payload)
+            } else {
+                (&payload[sent - 4..], &[][..])
+            };
+            match self
+                .stream
+                .write_vectored(&[IoSlice::new(head), IoSlice::new(tail)])
+            {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if sent < 4 + payload.len() {
+            self.out_buf.extend(&prefix[sent.min(4)..]);
+            self.out_buf.extend(&payload[sent.saturating_sub(4)..]);
+        }
         self.flush_pending().map(|_| ())
     }
 
@@ -580,153 +451,47 @@ impl<S: Read + Write + Send> Transport for PolledIo<S> {
     }
 }
 
-/// One direction of the in-process pipe.
+/// The shared state of one in-process pipe: a byte queue per direction
+/// and one close flag, since closing either end closes both.
 #[derive(Debug, Default)]
-struct Half {
-    state: Mutex<HalfState>,
+struct Pipe {
+    state: Mutex<PipeState>,
     readable: Condvar,
 }
 
 #[derive(Debug, Default)]
-struct HalfState {
-    buf: VecDeque<u8>,
+struct PipeState {
+    /// `to[k]` holds the bytes travelling towards end `k`.
+    to: [VecDeque<u8>; 2],
     closed: bool,
 }
 
-impl Half {
-    fn close(&self) {
-        self.state.lock().expect("pipe lock").closed = true;
-        self.readable.notify_all();
-    }
-}
-
-/// The in-process counterpart of a TCP connection: two byte queues and
-/// a condvar, no sockets anywhere. [`duplex`] returns the two ends;
-/// dropping either end closes both directions (the peer sees a clean
+/// The in-process counterpart of a TCP connection: a `Read + Write`
+/// byte stream over two byte queues and a condvar, no sockets anywhere,
+/// created in connected pairs by [`duplex_stream`]. Frame it with
+/// [`IoTransport`] and the same session loop and frame bytes run with
+/// zero kernel round-trips; interpose a
+/// [`ChaosStream`](crate::chaos::ChaosStream) first and frames cross
+/// the pipe chopped at arbitrary byte boundaries, loopback-free.
+///
+/// Dropping either end closes both directions: the peer sees a clean
 /// EOF on a frame boundary, [`RecvError::TruncatedFrame`] mid-frame —
-/// exactly like a vanished TCP peer).
-///
-/// This is what lets the differential tests and the
-/// `server_throughput` bench run sessions loopback-free: same session
-/// loop, same frame bytes, zero kernel round-trips.
-#[derive(Debug)]
-pub struct PipeTransport {
-    rx: Arc<Half>,
-    tx: Arc<Half>,
-}
-
-/// A connected pair of in-process transports (client end, server end).
-pub fn duplex() -> (PipeTransport, PipeTransport) {
-    let a = Arc::new(Half::default());
-    let b = Arc::new(Half::default());
-    (
-        PipeTransport {
-            rx: Arc::clone(&a),
-            tx: Arc::clone(&b),
-        },
-        PipeTransport { rx: b, tx: a },
-    )
-}
-
-impl Drop for PipeTransport {
-    fn drop(&mut self) {
-        self.tx.close();
-        self.rx.close();
-    }
-}
-
-impl Transport for PipeTransport {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "frame payload of {} bytes exceeds MAX_FRAME_LEN",
-                    payload.len()
-                ),
-            ));
-        }
-        let mut state = self.tx.state.lock().expect("pipe lock");
-        if state.closed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
-        }
-        state.buf.extend((payload.len() as u32).to_le_bytes());
-        state.buf.extend(payload.iter().copied());
-        self.tx.readable.notify_all();
-        Ok(())
-    }
-
-    fn recv_frame(&mut self) -> Result<Option<Vec<u8>>, RecvError> {
-        let mut state = self.rx.state.lock().expect("pipe lock");
-        loop {
-            if state.buf.len() >= 4 {
-                let prefix: Vec<u8> = state.buf.iter().take(4).copied().collect();
-                let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(RecvError::Oversized { len: len as u64 });
-                }
-                if state.buf.len() >= 4 + len {
-                    state.buf.drain(..4);
-                    let payload: Vec<u8> = state.buf.drain(..len).collect();
-                    return Ok(Some(payload));
-                }
-                if state.closed {
-                    return Err(RecvError::TruncatedFrame {
-                        missing: 4 + len - state.buf.len(),
-                    });
-                }
-            } else if state.closed {
-                return if state.buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(RecvError::TruncatedFrame {
-                        missing: 4 - state.buf.len(),
-                    })
-                };
-            }
-            state = self.rx.readable.wait(state).expect("pipe lock");
-        }
-    }
-}
-
-/// The **byte-level** face of the in-process pipe: a `Read + Write`
-/// stream over the same queues [`PipeTransport`] frames, created in
-/// connected pairs by [`duplex_stream`].
-///
-/// Where `PipeTransport` moves whole frames atomically, `PipeStream`
-/// moves raw bytes — which is exactly what the chaos machinery needs:
-/// wrap one end in a [`ChaosStream`](crate::chaos::ChaosStream) and an
-/// [`IoTransport`] and frames cross the pipe chopped at arbitrary byte
-/// boundaries, loopback-free. It also implements [`StreamCtl`] (the
-/// read limit is a condvar wait bound), so deadline-enforcing sessions
-/// are testable without sockets.
-///
-/// Dropping either end closes both directions, like the framed pipe.
+/// exactly like a vanished TCP peer.
 #[derive(Debug)]
 pub struct PipeStream {
-    rx: Arc<Half>,
-    tx: Arc<Half>,
-    read_limit: Cell<Option<Duration>>,
+    pipe: Arc<Pipe>,
+    end: usize,
 }
 
-/// A connected pair of in-process **byte** streams (see
-/// [`PipeStream`]). Frame either end with [`IoTransport::new`] to get
-/// a [`PipeTransport`]-equivalent, or interpose a
-/// [`ChaosStream`](crate::chaos::ChaosStream) first.
+/// A connected pair of in-process byte streams (see [`PipeStream`]).
 pub fn duplex_stream() -> (PipeStream, PipeStream) {
-    let a = Arc::new(Half::default());
-    let b = Arc::new(Half::default());
+    let pipe = Arc::new(Pipe::default());
     (
         PipeStream {
-            rx: Arc::clone(&a),
-            tx: Arc::clone(&b),
-            read_limit: Cell::new(None),
+            pipe: Arc::clone(&pipe),
+            end: 0,
         },
-        PipeStream {
-            rx: b,
-            tx: a,
-            read_limit: Cell::new(None),
-        },
+        PipeStream { pipe, end: 1 },
     )
 }
 
@@ -734,8 +499,8 @@ impl PipeStream {
     /// Closes both directions in place (the peer sees EOF; further
     /// writes from either end fail `BrokenPipe`) — the chaos cut hook.
     pub fn shutdown_both(&self) {
-        self.tx.close();
-        self.rx.close();
+        self.pipe.state.lock().expect("pipe lock").closed = true;
+        self.pipe.readable.notify_all();
     }
 }
 
@@ -745,57 +510,32 @@ impl Drop for PipeStream {
     }
 }
 
-impl StreamCtl for PipeStream {
-    fn set_read_limit(&self, limit: Option<Duration>) -> io::Result<()> {
-        self.read_limit.set(limit);
-        Ok(())
-    }
-}
-
 impl Read for PipeStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut state = self.rx.state.lock().expect("pipe lock");
-        let deadline = self.read_limit.get().map(|d| Instant::now() + d);
+        let mut state = self.pipe.state.lock().expect("pipe lock");
         loop {
-            if !state.buf.is_empty() {
-                let n = state.buf.len().min(buf.len());
-                for (slot, byte) in buf.iter_mut().zip(state.buf.drain(..n)) {
-                    *slot = byte;
-                }
-                return Ok(n);
+            if !state.to[self.end].is_empty() {
+                return state.to[self.end].read(buf);
             }
             if state.closed {
                 return Ok(0);
             }
-            state = match deadline {
-                None => self.rx.readable.wait(state).expect("pipe lock"),
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(io::ErrorKind::WouldBlock.into());
-                    }
-                    self.rx
-                        .readable
-                        .wait_timeout(state, remaining)
-                        .expect("pipe lock")
-                        .0
-                }
-            };
+            state = self.pipe.readable.wait(state).expect("pipe lock");
         }
     }
 }
 
 impl Write for PipeStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let mut state = self.tx.state.lock().expect("pipe lock");
+        let mut state = self.pipe.state.lock().expect("pipe lock");
         if state.closed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
         }
-        state.buf.extend(buf.iter().copied());
-        self.tx.readable.notify_all();
+        state.to[1 - self.end].extend(buf);
+        self.pipe.readable.notify_all();
         Ok(buf.len())
     }
 
@@ -810,7 +550,8 @@ mod tests {
 
     #[test]
     fn pipe_round_trips_frames() {
-        let (mut a, mut b) = duplex();
+        let (a, b) = duplex_stream();
+        let (mut a, mut b) = (IoTransport::new(a), IoTransport::new(b));
         a.send_frame(b"hello").unwrap();
         a.send_frame(b"").unwrap();
         assert_eq!(b.recv_frame().unwrap().unwrap(), b"hello");
@@ -821,119 +562,52 @@ mod tests {
 
     #[test]
     fn pipe_reports_truncation_and_oversize() {
-        let (a, mut b) = duplex();
-        {
-            // Raw bytes: a prefix promising 100 bytes, then close.
-            let mut state = a.tx.state.lock().unwrap();
-            state.buf.extend(100u32.to_le_bytes());
-            state.buf.extend([1, 2, 3]);
-        }
+        // Raw bytes: a prefix promising 100 bytes, three of them, close.
+        let (mut a, b) = duplex_stream();
+        a.write_all(&100u32.to_le_bytes()).unwrap();
+        a.write_all(&[1, 2, 3]).unwrap();
         drop(a);
         assert!(matches!(
-            b.recv_frame(),
+            IoTransport::new(b).recv_frame(),
             Err(RecvError::TruncatedFrame { missing: 97 })
         ));
 
-        let (a, mut b) = duplex();
-        {
-            let mut state = a.tx.state.lock().unwrap();
-            state.buf.extend(u32::MAX.to_le_bytes());
-        }
-        assert!(matches!(b.recv_frame(), Err(RecvError::Oversized { .. })));
+        // A prefix cut short is truncated too, before any payload.
+        let (mut a, b) = duplex_stream();
+        a.write_all(&[7, 0]).unwrap();
         drop(a);
+        assert!(matches!(
+            IoTransport::new(b).recv_frame(),
+            Err(RecvError::TruncatedFrame { missing: 2 })
+        ));
+
+        let (mut a, b) = duplex_stream();
+        a.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        assert!(matches!(
+            IoTransport::new(b).recv_frame(),
+            Err(RecvError::Oversized { .. })
+        ));
     }
 
     #[test]
     fn send_on_closed_pipe_is_broken_pipe() {
-        let (mut a, b) = duplex();
+        let (a, b) = duplex_stream();
+        let mut a = IoTransport::new(a);
         drop(b);
         let err = a.send_frame(b"x").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]
-    fn pipe_stream_round_trips_bytes_and_honors_read_limits() {
+    fn pipe_stream_round_trips_bytes() {
         let (mut a, mut b) = duplex_stream();
         a.write_all(b"abc").unwrap();
         let mut buf = [0u8; 8];
         assert_eq!(b.read(&mut buf).unwrap(), 3);
         assert_eq!(&buf[..3], b"abc");
-        // An armed read limit turns an empty pipe into WouldBlock…
-        b.set_read_limit(Some(Duration::from_millis(5))).unwrap();
-        let err = b.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-        // …and a closed peer into clean EOF.
+        // A closed peer reads as clean EOF.
         drop(a);
         assert_eq!(b.read(&mut buf).unwrap(), 0);
-    }
-
-    #[test]
-    fn idle_deadline_expires_between_frames() {
-        let (a, b) = duplex_stream();
-        let mut rx = IoTransport::with_deadlines(
-            b,
-            Deadlines {
-                idle: Some(Duration::from_millis(20)),
-                frame: None,
-            },
-        );
-        match rx.recv_frame() {
-            Err(RecvError::DeadlineExpired { mid_frame: false }) => {}
-            other => panic!("expected idle deadline, got {other:?}"),
-        }
-        drop(a);
-    }
-
-    #[test]
-    fn frame_deadline_defeats_a_dribbling_sender() {
-        let (mut a, b) = duplex_stream();
-        let mut rx = IoTransport::with_deadlines(
-            b,
-            Deadlines {
-                idle: None,
-                frame: Some(Duration::from_millis(40)),
-            },
-        );
-        // Promise a 50-byte frame, then dribble one byte at a time
-        // forever: each byte re-arms a per-read timeout, but the frame
-        // budget is absolute.
-        let writer = std::thread::spawn(move || {
-            let _ = a.write_all(&50u32.to_le_bytes());
-            loop {
-                if a.write_all(&[0xAB]).is_err() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        let started = Instant::now();
-        match rx.recv_frame() {
-            Err(RecvError::DeadlineExpired { mid_frame: true }) => {}
-            other => panic!("expected mid-frame deadline, got {other:?}"),
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "deadline must bound the wait"
-        );
-        drop(rx);
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn deadlined_transport_still_round_trips_normal_traffic() {
-        let (a, b) = duplex_stream();
-        let mut tx = IoTransport::new(a);
-        let mut rx = IoTransport::with_deadlines(
-            b,
-            Deadlines {
-                idle: Some(Duration::from_secs(5)),
-                frame: Some(Duration::from_secs(5)),
-            },
-        );
-        tx.send_frame(b"prompt peer").unwrap();
-        assert_eq!(rx.recv_frame().unwrap().unwrap(), b"prompt peer");
-        drop(tx);
-        assert!(rx.recv_frame().unwrap().is_none());
     }
 
     fn tcp_pair() -> (TcpStream, TcpStream) {
@@ -996,6 +670,56 @@ mod tests {
                 }
                 other => panic!("expected clean close, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn polled_io_hands_over_a_lone_frame_without_copying() {
+        // Two frames in one burst: the first is copied out, the second
+        // is then alone in the buffer and becomes the payload itself.
+        let (mut a, b) = duplex_stream();
+        for payload in [&b"first"[..], &b"second"[..]] {
+            a.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+            a.write_all(payload).unwrap();
+        }
+        let mut polled = PolledIo::from_stream(b);
+        assert_eq!(polled.recv_frame().unwrap().unwrap(), b"first");
+        assert_eq!(polled.partial_in(), 10);
+        assert_eq!(polled.recv_frame().unwrap().unwrap(), b"second");
+        assert_eq!(polled.in_buf.capacity(), 0, "the buffer moved out");
+        drop(a);
+        assert!(polled.recv_frame().unwrap().is_none());
+    }
+
+    /// Writes the socket takes only in part (chopped, or refused with
+    /// `WouldBlock`) leave the rest queued, in order, behind which later
+    /// frames wait: the peer receives every frame intact.
+    #[test]
+    fn polled_io_queues_what_a_partial_write_leaves() {
+        use crate::chaos::{ChaosConfig, ChaosStream, CutKind};
+        let (a, b) = duplex_stream();
+        let chaos = ChaosStream::new(
+            a,
+            ChaosConfig {
+                seed: 3,
+                read_chop: false,
+                write_chop: true,
+                would_block_one_in: 3,
+                delay_one_in: 0,
+                delay_max_us: 0,
+                cut_after_tx: None,
+                cut_kind: CutKind::Eof,
+            },
+        );
+        let mut polled = PolledIo::from_stream(chaos);
+        let frames: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 50 * i as usize]).collect();
+        for frame in &frames {
+            polled.send_frame(frame).unwrap();
+        }
+        while !polled.flush_pending().unwrap() {}
+        let mut rx = IoTransport::new(b);
+        for frame in &frames {
+            assert_eq!(&rx.recv_frame().unwrap().unwrap(), frame);
         }
     }
 

@@ -1,5 +1,5 @@
-//! Chaos e2e suite: fleets of fault-injected clients against both
-//! serving modes, session deadlines, overload shedding, bounded
+//! Chaos e2e suite: fleets of fault-injected clients against the
+//! worker-pool server, session deadlines, overload shedding, bounded
 //! shutdown under half-frame clients, and the reconnecting client.
 //!
 //! The differential discipline is the same as `e2e.rs` — every answer
@@ -244,14 +244,6 @@ fn run_fleet(handle: ServerHandle, seed_base: u64, fleet: usize) {
 }
 
 #[test]
-fn chaotic_fleet_threaded() {
-    let server = Server::bind("127.0.0.1:0")
-        .unwrap()
-        .with_config(fleet_config());
-    run_fleet(server.spawn().unwrap(), 0x9000, FLEET_SIZE);
-}
-
-#[test]
 fn chaotic_fleet_pooled() {
     let server = Server::bind("127.0.0.1:0")
         .unwrap()
@@ -280,6 +272,7 @@ fn chaotic_fleet_randomized_smoke() {
         .unwrap()
         .with_config(fleet_config());
     run_fleet(server.spawn_pooled(4).unwrap(), seed_base, 16);
+    // And once on the default pool, one worker per available CPU.
     let server = Server::bind("127.0.0.1:0")
         .unwrap()
         .with_config(fleet_config());
@@ -334,14 +327,6 @@ fn assert_idle_eviction(handle: ServerHandle) {
 }
 
 #[test]
-fn idle_deadline_evicts_threaded() {
-    let server = Server::bind("127.0.0.1:0")
-        .unwrap()
-        .with_config(idle_eviction_config());
-    assert_idle_eviction(server.spawn().unwrap());
-}
-
-#[test]
 fn idle_deadline_evicts_pooled() {
     let server = Server::bind("127.0.0.1:0")
         .unwrap()
@@ -386,14 +371,6 @@ fn slowloris_config() -> ServerConfig {
 }
 
 #[test]
-fn frame_deadline_evicts_slowloris_threaded() {
-    let server = Server::bind("127.0.0.1:0")
-        .unwrap()
-        .with_config(slowloris_config());
-    assert_slowloris_eviction(server.spawn().unwrap());
-}
-
-#[test]
 fn frame_deadline_evicts_slowloris_pooled() {
     let server = Server::bind("127.0.0.1:0")
         .unwrap()
@@ -429,7 +406,7 @@ fn assert_overload_shedding(handle: ServerHandle) {
             .expect("held session");
     }
     // Closing one held session frees its slot (asynchronously — the
-    // session thread/worker must observe the close), and a retry then
+    // worker must observe the close), and a retry then
     // succeeds: exactly the ResilientClient backoff story.
     drop(held.pop());
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -459,14 +436,6 @@ fn shedding_config() -> ServerConfig {
         max_connections: Some(2),
         ..ServerConfig::default()
     }
-}
-
-#[test]
-fn overloaded_shedding_threaded() {
-    let server = Server::bind("127.0.0.1:0")
-        .unwrap()
-        .with_config(shedding_config());
-    assert_overload_shedding(server.spawn().unwrap());
 }
 
 #[test]
@@ -502,17 +471,6 @@ fn assert_bounded_shutdown_with_half_frames(handle: ServerHandle) {
     );
     assert_eq!(abandoned, 0, "half-frame clients leaked sessions");
     drop(wedged);
-}
-
-#[test]
-fn shutdown_bounded_under_half_frames_threaded() {
-    let server = Server::bind("127.0.0.1:0")
-        .unwrap()
-        .with_config(ServerConfig {
-            shutdown_join_bound: Duration::from_secs(5),
-            ..ServerConfig::default()
-        });
-    assert_bounded_shutdown_with_half_frames(server.spawn().unwrap());
 }
 
 #[test]

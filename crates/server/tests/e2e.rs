@@ -15,7 +15,7 @@
 //! leakage), never rounding.
 
 use rand::{Rng, SeedableRng};
-use sinr_core::engine::{BoxedEngine, QueryEngine};
+use sinr_core::engine::{BoxedEngine, QueryEngine, PARALLEL_BATCH_THRESHOLD};
 use sinr_core::{ChannelModel, ExactScan, Located, McConfig, Network, StationId, SurgeryOp};
 use sinr_geometry::Point;
 use sinr_server::{BackendId, Client, ClientError, ErrorCode, Server, TcpTransport};
@@ -603,6 +603,65 @@ fn pipelined_locate_stream_matches_request_response() {
         }
     }
     handle.shutdown();
+}
+
+/// A few heavy clients on the default pool: `available_parallelism() +
+/// 2` sessions, more than there are workers, each streaming
+/// `LocateBatch` frames above the engine's parallel threshold, so
+/// sessions share workers while every batch also fans out on its own.
+/// Every answer is bit-identical to a local engine, whether the session
+/// owns its engine or shares a registered one, and shutdown leaks
+/// nothing.
+#[test]
+fn default_pool_serves_more_heavy_clients_than_workers() {
+    let clients = std::thread::available_parallelism().map_or(1, |n| n.get()) + 2;
+    let n = 160;
+    let half = 2.0 * (n as f64).sqrt();
+    let net = sinr_core::gen::random_uniform_network(0x4EA7, n, half, 0.01, 2.0).unwrap();
+    let handle = Server::bind("127.0.0.1:0")
+        .expect("bind ephemeral")
+        .spawn()
+        .expect("spawn server");
+    let addr = handle.addr();
+    let mut registrar = Client::connect(addr).expect("connect registrar");
+    registrar.register_network("heavy", &net).expect("register");
+
+    std::thread::scope(|s| {
+        for k in 0..clients {
+            let net = &net;
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                if k % 2 == 0 {
+                    client
+                        .bind_network(BackendId::SimdScan, 0.0, net)
+                        .expect("bind");
+                } else {
+                    client
+                        .attach("heavy", BackendId::SimdScan, 0.0)
+                        .expect("attach");
+                }
+                let local = fresh_local(BackendId::SimdScan, net);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0x4EA7 ^ k as u64);
+                for frame in 0..4 {
+                    let points: Vec<Point> = (0..PARALLEL_BATCH_THRESHOLD + 500)
+                        .map(|_| {
+                            Point::new(
+                                rng.gen_range(-half * 1.1..half * 1.1),
+                                rng.gen_range(-half * 1.1..half * 1.1),
+                            )
+                        })
+                        .collect();
+                    let (rev, answers) = client.locate_batch(&points).expect("heavy batch");
+                    assert_eq!(rev, 0, "client {k}, frame {frame}");
+                    let mut expected = vec![Located::Silent; points.len()];
+                    local.locate_batch(&points, &mut expected);
+                    assert_eq!(answers, expected, "client {k}, frame {frame}");
+                }
+            });
+        }
+    });
+    drop(registrar);
+    assert_eq!(handle.shutdown(), 0);
 }
 
 /// An error frame occupies its request's slot in the response order, so

@@ -17,9 +17,9 @@ use proptest::prelude::*;
 use sinr_core::{Network, StationId, SurgeryOp};
 use sinr_geometry::Point;
 use sinr_server::{
-    decode_response, duplex, duplex_stream, encode_request, serve_session, BackendId, ChaosConfig,
-    ChaosStream, Client, ClientError, ErrorCode, IoTransport, PipeStream, PipeTransport, Request,
-    Response, Server,
+    decode_response, duplex_stream, encode_request, serve_session, BackendId, ChaosConfig,
+    ChaosStream, Client, ClientError, ErrorCode, IoTransport, PipeStream, Request, Response,
+    Server,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -39,10 +39,10 @@ fn tiny_network() -> Network {
 
 /// A session loop on its own thread over a pipe, with the join handle
 /// kept so the test can assert the thread exited *without panicking*.
-fn owned_session() -> (Client<PipeTransport>, std::thread::JoinHandle<()>) {
-    let (client_end, server_end) = duplex();
-    let handle = std::thread::spawn(move || serve_session(server_end));
-    (Client::new(client_end), handle)
+fn owned_session() -> (Client<IoTransport<PipeStream>>, std::thread::JoinHandle<()>) {
+    let (client_end, server_end) = duplex_stream();
+    let handle = std::thread::spawn(move || serve_session(IoTransport::new(server_end)));
+    (Client::new(IoTransport::new(client_end)), handle)
 }
 
 /// Reads one raw frame off a TCP stream (test-side framing).

@@ -212,10 +212,8 @@ fn snapshots_are_shared_and_rcu_published() {
     assert_eq!(named.store_count(), 2);
 
     // Mutate: a NEW snapshot is published for everyone...
-    let before = snap0
-        .engine()
-        .try_locate(Point::new(0.5, 0.2))
-        .expect("old snapshot serves");
+    snap0.engine().freshness().expect("old snapshot serves");
+    let before = snap0.engine().locate(Point::new(0.5, 0.2));
     let op = SurgeryOp::Move {
         id: StationId(0),
         to: Point::new(7.5, 7.5),
@@ -236,13 +234,11 @@ fn snapshots_are_shared_and_rcu_published() {
 
     // ...while the old Arc (an in-flight reader) still answers for its
     // own revision, unaffected by the mutation (RCU grace period).
-    assert_eq!(
-        snap0
-            .engine()
-            .try_locate(Point::new(0.5, 0.2))
-            .expect("frozen snapshot never goes stale"),
-        before
-    );
+    snap0
+        .engine()
+        .freshness()
+        .expect("frozen snapshot never goes stale");
+    assert_eq!(snap0.engine().locate(Point::new(0.5, 0.2)), before);
     assert_eq!(snap0.revision(), 0);
     // The store released revision 0 at publication: this test is the
     // last holder, so dropping `snap0` frees that engine.
@@ -338,65 +334,71 @@ fn worker_pool_serves_hundreds_of_light_clients() {
     handle.shutdown();
 }
 
-/// The pooled and threaded servers speak the same protocol: one mixed
-/// script (bind-private, register, attach, quantiles, mutate) answered
-/// bit-identically by both.
+/// One mixed script (register, attach, bind-private, mutate through
+/// each, then locate, SINR and quantiles) on the pool: the attached and
+/// the private session both answer bit-identically to a fresh local
+/// engine on the mirror network.
 #[test]
-fn pooled_answers_match_threaded_answers() {
-    let run = |pooled: bool| -> (Vec<Located>, Vec<f64>, Vec<f64>) {
-        let server = Server::bind("127.0.0.1:0").expect("bind");
-        let handle = if pooled {
-            server.spawn_pooled(2).expect("spawn pooled")
-        } else {
-            server.spawn().expect("spawn threaded")
-        };
-        let addr = handle.addr();
-        let mut mirror = grid_network(2);
+fn pooled_answers_match_local_engines() {
+    let server = Server::bind("127.0.0.1:0").expect("bind");
+    let handle = server.spawn_pooled(2).expect("spawn pooled");
+    let addr = handle.addr();
+    let mut mirror = grid_network(2);
 
-        let mut a = Client::connect(addr).expect("connect");
-        a.register_network("n", &mirror).expect("register");
-        a.attach("n", BackendId::SimdScan, 0.0).expect("attach");
-        let mut b = Client::connect(addr).expect("connect");
-        b.attach("n", BackendId::SimdScan, 0.0).expect("attach");
+    let mut a = Client::connect(addr).expect("connect");
+    a.register_network("n", &mirror).expect("register");
+    a.attach("n", BackendId::SimdScan, 0.0).expect("attach");
+    let mut b = Client::connect(addr).expect("connect");
+    b.attach("n", BackendId::SimdScan, 0.0).expect("attach");
+    let mut private = Client::connect(addr).expect("connect");
+    private
+        .bind_network(BackendId::SimdScan, 0.0, &mirror)
+        .expect("bind");
 
-        let op = SurgeryOp::SetPower {
-            id: StationId(1),
-            power: 1.7,
-        };
-        mirror.apply_op(&op).expect("mirror");
-        a.mutate(0, &[op]).expect("mutate");
-
-        let points: Vec<Point> = (0..40)
-            .map(|k| Point::new(k as f64 * 0.31 - 4.0, (k % 7) as f64 * 0.83 - 2.0))
-            .collect();
-        let (rev, located) = b.locate_batch(&points).expect("locate");
-        assert_eq!(rev, 1);
-        let (_, sinrs) = b.sinr_batch(StationId(0), &points).expect("sinrs");
-        let (_, quants) = b
-            .sinr_quantiles_batch(
-                StationId(0),
-                16,
-                7,
-                &ChannelModel::LogNormalShadowing { sigma_db: 3.0 },
-                &[0.1, 0.5, 0.9],
-                &points,
-            )
-            .expect("quantiles");
-        drop(a);
-        drop(b);
-        handle.shutdown();
-        (located, sinrs, quants)
+    let op = SurgeryOp::SetPower {
+        id: StationId(1),
+        power: 1.7,
     };
+    mirror.apply_op(&op).expect("mirror");
+    a.mutate(0, std::slice::from_ref(&op)).expect("mutate");
+    private.mutate(0, &[op]).expect("private mutate");
 
-    let (loc_t, sinr_t, quant_t) = run(false);
-    let (loc_p, sinr_p, quant_p) = run(true);
-    assert_eq!(loc_t, loc_p, "locate answers differ across serving modes");
-    for (a, b) in sinr_t.iter().zip(&sinr_p) {
-        assert_eq!(a.to_bits(), b.to_bits(), "sinr answers differ");
+    let points: Vec<Point> = (0..40)
+        .map(|k| Point::new(k as f64 * 0.31 - 4.0, (k % 7) as f64 * 0.83 - 2.0))
+        .collect();
+    let channel = ChannelModel::LogNormalShadowing { sigma_db: 3.0 };
+    let quantiles = [0.1, 0.5, 0.9];
+    let local = fresh_local(BackendId::SimdScan, &mirror);
+    let mut want_sinrs = vec![0.0; points.len()];
+    local.sinr_batch(StationId(0), &points, &mut want_sinrs);
+    let mut want_quants = vec![0.0; points.len() * quantiles.len()];
+    local
+        .sinr_quantiles_batch(
+            &channel,
+            McConfig::new(16, 7),
+            StationId(0),
+            &points,
+            &quantiles,
+            &mut want_quants,
+        )
+        .expect("local quantiles");
+
+    for (what, client) in [("attached", &mut b), ("private", &mut private)] {
+        assert_locate_matches(client, BackendId::SimdScan, &mirror, &points, what);
+        let (rev, sinrs) = client.sinr_batch(StationId(0), &points).expect("sinrs");
+        assert_eq!(rev, 1, "{what}");
+        let (_, quants) = client
+            .sinr_quantiles_batch(StationId(0), 16, 7, &channel, &quantiles, &points)
+            .expect("quantiles");
+        for (got, want) in sinrs.iter().zip(&want_sinrs) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: sinr answers differ");
+        }
+        for (got, want) in quants.iter().zip(&want_quants) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: quantiles differ");
+        }
     }
-    for (a, b) in quant_t.iter().zip(&quant_p) {
-        assert_eq!(a.to_bits(), b.to_bits(), "quantile answers differ");
-    }
+    drop((a, b, private));
+    assert_eq!(handle.shutdown(), 0);
 }
 
 /// `SinrQuantilesBatch` differential on both the private (`Bind`) and
@@ -644,9 +646,8 @@ fn register_attach_corners_are_typed() {
     handle.shutdown();
 }
 
-/// The shutdown fix: idle connected sessions (threads parked in
-/// `read(2)`) no longer wedge `ServerHandle::shutdown` — their sockets
-/// are closed and the join returns promptly.
+/// Idle connected sessions cannot wedge `ServerHandle::shutdown`: their
+/// sockets are closed and the join returns promptly.
 #[test]
 fn shutdown_returns_despite_idle_connected_sessions() {
     let server = Server::bind("127.0.0.1:0").expect("bind");
@@ -674,7 +675,7 @@ fn shutdown_returns_despite_idle_connected_sessions() {
     drop(idle_b);
 }
 
-/// Same contract for the worker-pool server.
+/// Same contract on an explicitly sized pool.
 #[test]
 fn pooled_shutdown_returns_despite_idle_sessions() {
     let server = Server::bind("127.0.0.1:0").expect("bind");

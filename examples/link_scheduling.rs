@@ -39,7 +39,7 @@
 
 use rand::{Rng, SeedableRng};
 use sinr_diagrams::prelude::*;
-use sinr_diagrams::server::serve_in_process;
+use sinr_diagrams::server::{serve_in_process, IoTransport, PipeStream};
 
 /// Links around a ring: senders on the outer circle, receivers pulled
 /// one unit inward — every transmission interferes with every other,
@@ -88,7 +88,7 @@ struct RegimeReport {
 fn apply_powers(
     net: &mut Network,
     engine: &mut BoxedEngine,
-    client: &mut Client<sinr_diagrams::server::PipeTransport>,
+    client: &mut Client<IoTransport<PipeStream>>,
     revision: u64,
     powers: &[f64],
 ) -> u64 {
@@ -118,7 +118,7 @@ fn apply_powers(
 fn schedule_slot(
     net: &mut Network,
     engine: &mut BoxedEngine,
-    client: &mut Client<sinr_diagrams::server::PipeTransport>,
+    client: &mut Client<IoTransport<PipeStream>>,
     revision: &mut u64,
     receivers: &[Point],
     backlog: &[usize],

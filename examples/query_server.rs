@@ -8,17 +8,19 @@
 //!   on one named network), shut down (what CI's example smoke loop
 //!   runs);
 //! * `--serve-one [--listen ADDR]` — accept exactly one connection,
-//!   serve it to completion, exit (the server half of the CI
-//!   client/server pair smoke);
-//! * `--listen ADDR` — serve forever, thread per connection;
-//! * `--listen ADDR --pool N` — serve forever on a fixed pool of N
-//!   worker threads multiplexing every connection (the
-//!   many-light-clients mode).
+//!   serve it to completion with the blocking session loop, exit (the
+//!   server half of the CI client/server pair smoke);
+//! * `--listen ADDR` — serve forever on the worker pool, one worker per
+//!   available CPU, multiplexing every connection;
+//! * `--listen ADDR --pool N` — the same on exactly N workers.
 //!
 //! Run with: `cargo run --release --example query_server -- --listen 127.0.0.1:7878 --pool 4`
 
 use sinr_diagrams::prelude::*;
-use sinr_diagrams::server::{BackendId, Client, ClientError, ErrorCode, Server, ServerConfig};
+use sinr_diagrams::server::{
+    serve_session, BackendId, Client, ClientError, ErrorCode, IoTransport, Server, ServerConfig,
+};
+use std::net::TcpListener;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,24 +43,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     match (listen, serve_one) {
         (addr, true) => {
-            let server = Server::bind(addr.as_deref().unwrap_or("127.0.0.1:0"))?;
-            println!("serving one session on {}", server.local_addr()?);
-            server.serve_sessions(1)?;
+            let listener = TcpListener::bind(addr.as_deref().unwrap_or("127.0.0.1:0"))?;
+            println!("serving one session on {}", listener.local_addr()?);
+            let (stream, _) = listener.accept()?;
+            stream.set_nodelay(true)?;
+            serve_session(IoTransport::new(stream));
             println!("session complete; exiting");
         }
         (Some(addr), false) => {
             let server = Server::bind(addr.as_str())?;
             let local = server.local_addr()?;
-            // The background accept loop serves sessions concurrently
-            // (serve_sessions(1) would serialize clients); this thread
-            // only has to stay alive.
+            // The background accept loop and workers serve every
+            // session; this thread only has to stay alive.
             let _handle = match pool {
                 Some(workers) => {
                     println!("serving on {local} ({workers}-worker pool; ctrl-c to stop)");
                     server.spawn_pooled(workers)?
                 }
                 None => {
-                    println!("serving on {local} (thread per connection; ctrl-c to stop)");
+                    println!("serving on {local} (one worker per CPU; ctrl-c to stop)");
                     server.spawn()?
                 }
             };

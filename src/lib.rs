@@ -27,7 +27,7 @@
 //!   Theorem 3 (Section 5);
 //! * [`diagram`] — rasterised reception maps and the paper's figures;
 //! * [`server`] — the streaming batched-query server: a length-prefixed
-//!   binary protocol over TCP (std-only, thread per connection) whose
+//!   binary protocol over TCP (std-only, one fixed worker pool) whose
 //!   sessions bind a network plus any backend
 //!   ([`BackendId`](prelude::BackendId)) and then interleave
 //!   `LocateBatch` / `SinrBatch` / `ReceptionProbBatch` (seeded
