@@ -329,12 +329,16 @@ impl std::fmt::Display for LocateError {
 
 impl std::error::Error for LocateError {}
 
-/// The engine side of the epoch protocol: the network's revision cell
-/// and the revision this engine's data reflects.
+/// The engine side of the epoch protocol: the source network's revision
+/// cell (which names the network whose deltas apply, frozen or not),
+/// the revision this engine's data reflects, and whether freshness
+/// reads the cell (live) or `seen` itself (frozen — so a clone that
+/// applies a delta never moves what the original answers for).
 #[derive(Debug, Clone)]
 struct EpochTag {
     cell: Arc<AtomicU64>,
     seen: u64,
+    frozen: bool,
 }
 
 impl EpochTag {
@@ -342,12 +346,18 @@ impl EpochTag {
         EpochTag {
             cell: Arc::clone(net.epoch_cell()),
             seen: net.revision(),
+            frozen: false,
         }
     }
 
+    /// The revision freshness compares `seen` against.
     #[inline]
     fn current(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        if self.frozen {
+            self.seen
+        } else {
+            self.cell.load(Ordering::Relaxed)
+        }
     }
 }
 
@@ -723,18 +733,16 @@ impl SinrEvaluator {
         *self = SinrEvaluator::new(net);
     }
 
-    /// Detaches the evaluator from its source network's epoch cell,
-    /// pinning it **fresh forever** at its current revision: later
-    /// mutations of the source network no longer flip it stale (and its
-    /// deltas no longer apply — [`SinrEvaluator::apply`] refuses them as
-    /// [`SyncError::ForeignDelta`]). A frozen evaluator is an immutable
-    /// snapshot of the revision it answers for; this is the primitive
-    /// behind [`crate::snapshot`]'s shared engine snapshots.
+    /// Stops the evaluator reading its source network's epoch cell,
+    /// pinning it **fresh** at its current revision: later mutations of
+    /// the source network no longer flip it stale. Its source network's
+    /// deltas still apply, moving the pinned revision with them; deltas
+    /// of any other network stay [`SyncError::ForeignDelta`]. A frozen
+    /// evaluator answers for the revision it last reached until it is
+    /// changed through `&mut`; this is the primitive behind
+    /// [`crate::snapshot`]'s shared engine snapshots.
     pub fn freeze(&mut self) {
-        self.epoch = EpochTag {
-            cell: Arc::new(AtomicU64::new(self.epoch.seen)),
-            seen: self.epoch.seen,
-        };
+        self.epoch.frozen = true;
     }
 
     /// Overwrites the power column with `base[j] · gains[j]` — the
@@ -1323,15 +1331,17 @@ pub trait QueryEngine {
     /// not hold for `net`.
     fn sync(&mut self, net: &Network) -> Result<(), SyncError>;
 
-    /// Detaches the engine from its source network, pinning it **fresh
-    /// forever** at its current revision: later mutations of the source
-    /// network no longer flip it stale, and its deltas no longer apply
-    /// ([`SyncError::ForeignDelta`]). A frozen engine is an immutable
-    /// snapshot of the revision it answers for — the primitive behind
-    /// the RCU-style shared snapshots of [`crate::snapshot`] (a *live*
-    /// clone still shares the source's epoch cell and would go stale
-    /// mid-batch at the next mutation; freezing the clone is what makes
-    /// it safely shareable).
+    /// Detaches the engine's freshness from its source network, pinning
+    /// it **fresh** at its current revision: later mutations of the
+    /// source network no longer flip it stale. The source network's
+    /// deltas still apply ([`QueryEngine::apply`] moves the pinned
+    /// revision with them); deltas of any other network stay
+    /// [`SyncError::ForeignDelta`]. A frozen engine behind an `Arc` is
+    /// an immutable snapshot of the revision it answers for — the
+    /// primitive behind the RCU-style shared snapshots of
+    /// [`crate::snapshot`] (a *live* clone still reads the source's
+    /// epoch cell and would go stale mid-batch at the next mutation;
+    /// freezing is what makes it safely shareable).
     ///
     /// The default is a no-op, which is only correct for engines whose
     /// freshness never changes (e.g. test doubles without an epoch tag);
@@ -1941,8 +1951,8 @@ pub struct BoxedEngine {
 /// Object-safe clone support for the erased engine: a blanket impl
 /// covers every cloneable, thread-safe [`QueryEngine`], so
 /// [`BoxedEngine`] itself can be [`Clone`] + [`Sync`] — the shape
-/// snapshot publication ([`crate::snapshot`]) needs (clone the master,
-/// freeze the clone, share it behind an `Arc`).
+/// snapshot publication ([`crate::snapshot`]) needs (share a frozen
+/// engine behind an `Arc`, clone it while a reader still holds it).
 trait CloneableEngine: QueryEngine + Send + Sync {
     fn boxed_clone(&self) -> Box<dyn CloneableEngine>;
 }

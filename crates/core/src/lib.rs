@@ -84,13 +84,14 @@
 //! Between mutations the diagram is a pure function of the network, so
 //! one engine can serve any number of concurrent readers. The
 //! [`snapshot`] module packages that as read-copy-update publication:
-//! a [`SnapshotStore`] keeps a private master engine in step with a
-//! live network via the epoch/delta path and publishes an immutable,
+//! a [`SnapshotStore`] publishes an immutable,
 //! [frozen](QueryEngine::freeze) [`EngineSnapshot`] per revision behind
-//! an [`Arc`](std::sync::Arc). Readers never block (loading a snapshot
-//! is an `Arc` clone); mutations publish a *new* snapshot while
-//! in-flight batches finish on the old one, which deallocates when its
-//! last reader releases it. `sinr-server`'s named-network registry
+//! an [`Arc`](std::sync::Arc) and keeps it in step with a live network
+//! via the epoch/delta path — copy-on-write, so the deltas apply in
+//! place when no reader holds the snapshot. Readers never block
+//! (loading a snapshot is an `Arc` clone); mutations publish a *new*
+//! snapshot while in-flight batches finish on the old one, which
+//! deallocates when its last reader releases it. `sinr-server`'s named-network registry
 //! serves N sessions from one store per (network, backend) this way.
 //!
 //! ```

@@ -15,19 +15,22 @@
 //!   `Arc<EngineSnapshot>` — a cheap pointer clone under a mutex held
 //!   for nanoseconds, never blocked by writers doing real work.
 //! * A writer calls [`SnapshotStore::advance`] with the deltas of a
-//!   mutation: the store's private **master** engine catches up
-//!   incrementally (the PR 3 epoch/delta path — no rebuild), is cloned,
-//!   and the clone is [frozen](QueryEngine::freeze) and published as
-//!   the new current snapshot.
+//!   mutation. The store holds only the published snapshot, so the
+//!   deltas apply to it (the epoch/delta path — no rebuild) through
+//!   [`Arc::make_mut`]: in place when no reader holds it, on a clone of
+//!   it while one does. A [frozen](QueryEngine::freeze) engine still
+//!   accepts its own network's deltas, so no live engine is kept.
 //! * In-flight batches keep answering on whatever `Arc` they loaded —
-//!   frozen snapshots are *fresh forever* at their pinned revision, so
-//!   a mutation mid-batch can never flip them stale. The old snapshot
-//!   deallocates when the last reader drops its `Arc` (classic RCU
-//!   grace-period-by-refcount).
+//!   frozen snapshots stay fresh at their pinned revision, so a
+//!   mutation mid-batch can never flip them stale or change them. The
+//!   old snapshot deallocates when the last reader drops its `Arc`
+//!   (classic RCU grace-period-by-refcount).
 //!
-//! Publication costs one `O(n)` engine clone per revision — paid by the
-//! mutator, once, regardless of reader count — instead of one engine
-//! *rebuild or catch-up per session* per revision.
+//! Publication costs an `O(n)` engine clone only while a reader holds
+//! the current snapshot — paid by the mutator, once, regardless of
+//! reader count — instead of one engine *rebuild or catch-up per
+//! session* per revision. One engine per (network, backend, revision)
+//! is all the store keeps.
 //!
 //! ## Staleness contract
 //!
@@ -38,7 +41,7 @@
 //! `sinr-server`'s protocol (every response carries the revision it
 //! answers for).
 
-use crate::engine::{BoxedEngine, QueryEngine};
+use crate::engine::{BoxedEngine, QueryEngine, SyncError};
 use crate::network::{Network, NetworkDelta};
 use std::sync::{Arc, Mutex};
 
@@ -46,12 +49,12 @@ use std::sync::{Arc, Mutex};
 /// [`Arc`] by every reader of that revision.
 ///
 /// The wrapped engine is [frozen](QueryEngine::freeze): it answers for
-/// [`EngineSnapshot::revision`] forever, regardless of what the source
-/// network does next.
+/// [`EngineSnapshot::revision`] regardless of what the source network
+/// does next. Only a [`SnapshotStore`] holding the sole reference moves
+/// it to a later revision.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     engine: BoxedEngine,
-    revision: u64,
     stations: usize,
 }
 
@@ -63,12 +66,7 @@ impl EngineSnapshot {
     /// possibly already mutated — live network).
     pub fn freeze(mut engine: BoxedEngine, stations: usize) -> EngineSnapshot {
         engine.freeze();
-        let revision = engine.revision();
-        EngineSnapshot {
-            engine,
-            revision,
-            stations,
-        }
+        EngineSnapshot { engine, stations }
     }
 
     /// The frozen engine. Always fresh at [`EngineSnapshot::revision`].
@@ -78,7 +76,7 @@ impl EngineSnapshot {
 
     /// The network revision this snapshot answers for.
     pub fn revision(&self) -> u64 {
-        self.revision
+        self.engine.revision()
     }
 
     /// The station count at this revision.
@@ -86,9 +84,21 @@ impl EngineSnapshot {
         self.stations
     }
 
-    /// The stable backend name of the wrapped engine.
-    pub fn backend_name(&self) -> &'static str {
-        self.engine.backend_name()
+    /// Brings this snapshot's engine to `net`'s revision: incremental
+    /// per delta ([`QueryEngine::apply`]); if that leaves it behind, one
+    /// full [`QueryEngine::sync`] and a fresh freeze.
+    fn catch_up(&mut self, net: &Network, deltas: &[NetworkDelta]) -> Result<(), SyncError> {
+        for delta in deltas {
+            if self.engine.apply(delta).is_err() {
+                break;
+            }
+        }
+        if self.engine.revision() != net.revision() {
+            self.engine.sync(net)?;
+            self.engine.freeze();
+        }
+        self.stations = net.len();
+        Ok(())
     }
 }
 
@@ -115,8 +125,8 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The publication side of RCU: a private master engine tracking one
-/// live [`Network`], and the currently published [`EngineSnapshot`].
+/// The publication side of RCU: the currently published
+/// [`EngineSnapshot`] of one live [`Network`].
 ///
 /// One store serves one (network, backend) pair; a server keeps one
 /// store per backend a client has attached with (see `sinr-server`'s
@@ -129,10 +139,6 @@ pub struct SnapshotStore {
 
 #[derive(Debug)]
 struct StoreInner {
-    /// Tracks the live network incrementally (shares its epoch cell, so
-    /// deltas apply and staleness is observable). Never queried
-    /// directly — cloned and frozen into each published snapshot.
-    master: BoxedEngine,
     published: Arc<EngineSnapshot>,
     /// Set when a mutation escaped the backend's representable space;
     /// sticky (see [`SnapshotError::Unsupported`]).
@@ -140,14 +146,12 @@ struct StoreInner {
 }
 
 impl SnapshotStore {
-    /// Wraps a freshly built engine for `net` and publishes the initial
-    /// snapshot at the current revision.
-    pub fn new(net: &Network, master: BoxedEngine) -> SnapshotStore {
-        let published = Arc::new(EngineSnapshot::freeze(master.clone(), net.len()));
+    /// Freezes a freshly built engine for `net` in place and publishes
+    /// it as the initial snapshot at the current revision.
+    pub fn new(net: &Network, engine: BoxedEngine) -> SnapshotStore {
         SnapshotStore {
             inner: Mutex::new(StoreInner {
-                master,
-                published,
+                published: Arc::new(EngineSnapshot::freeze(engine, net.len())),
                 poisoned: None,
             }),
         }
@@ -155,8 +159,8 @@ impl SnapshotStore {
 
     /// The currently published snapshot — an `Arc` clone under a
     /// briefly held mutex. Hold the returned `Arc` for the duration of
-    /// a batch: concurrent [`SnapshotStore::advance`] calls publish
-    /// *new* snapshots and never touch this one.
+    /// a batch: concurrent [`SnapshotStore::advance`] calls never
+    /// change a snapshot a reader holds.
     ///
     /// # Errors
     ///
@@ -169,19 +173,11 @@ impl SnapshotStore {
         }
     }
 
-    /// The revision of the currently published snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Unsupported`] once the store is poisoned.
-    pub fn revision(&self) -> Result<u64, SnapshotError> {
-        self.load().map(|snap| snap.revision())
-    }
-
-    /// Catches the master up with a mutation of `net` (the deltas the
-    /// mutation emitted, in order) and publishes a new snapshot.
-    /// Incremental per delta ([`QueryEngine::apply`]); any refusal
-    /// falls back to one full [`QueryEngine::sync`]. Idempotent on an
+    /// Publishes `net`'s current revision, given the deltas of the
+    /// mutation that produced it (in emission order). The deltas apply
+    /// to the published snapshot through [`Arc::make_mut`] — in place
+    /// when no reader holds it, on a clone otherwise; any refusal falls
+    /// back to one full [`QueryEngine::sync`]. Idempotent on an
     /// already-current store (republishing nothing).
     ///
     /// Readers holding the previous `Arc` are unaffected — their
@@ -201,31 +197,14 @@ impl SnapshotStore {
         if let Some(msg) = &inner.poisoned {
             return Err(SnapshotError::Unsupported(msg.clone()));
         }
-        for delta in deltas {
-            if inner.master.apply(delta).is_err() {
-                break;
-            }
-        }
-        if inner.master.is_stale() {
-            if let Err(e) = inner.master.sync(net) {
+        if inner.published.revision() != net.revision() {
+            if let Err(e) = Arc::make_mut(&mut inner.published).catch_up(net, deltas) {
                 let msg = e.to_string();
                 inner.poisoned = Some(msg.clone());
                 return Err(SnapshotError::Unsupported(msg));
             }
         }
-        if inner.master.revision() != inner.published.revision() {
-            inner.published = Arc::new(EngineSnapshot::freeze(inner.master.clone(), net.len()));
-        }
         Ok(Arc::clone(&inner.published))
-    }
-
-    /// The stable backend name of the master engine.
-    pub fn backend_name(&self) -> &'static str {
-        self.inner
-            .lock()
-            .expect("snapshot store lock")
-            .master
-            .backend_name()
     }
 }
 
@@ -278,12 +257,19 @@ mod tests {
         );
         assert_eq!(snap0.revision(), 0);
 
-        // Advance publishes a NEW snapshot; the old Arc is untouched.
+        // Advance publishes a NEW snapshot (a clone, because this
+        // reader holds the old one); the old Arc is untouched.
         let snap1 = store.advance(&net, std::slice::from_ref(&delta)).unwrap();
         assert_eq!(snap1.revision(), 1);
         assert!(!Arc::ptr_eq(&snap0, &snap1));
         assert_eq!(snap0.revision(), 0);
         snap0.engine().freshness().unwrap();
+        assert_eq!(snap0.engine().revision(), 0);
+        assert_eq!(
+            snap0.engine().locate(p),
+            before,
+            "a held snapshot changed its answer across an advance"
+        );
 
         // The new snapshot answers bit-identically to a fresh engine at
         // the mutated revision.
@@ -319,7 +305,32 @@ mod tests {
             Arc::ptr_eq(&c, &d),
             "advance on a current store must republish the same Arc"
         );
-        assert_eq!(store.revision().unwrap(), 1);
+        assert_eq!(store.load().unwrap().revision(), 1);
+    }
+
+    #[test]
+    fn advance_without_readers_reuses_the_allocation() {
+        for build in [BoxedEngine::exact_scan, BoxedEngine::voronoi_assisted] {
+            let mut net = net();
+            let store = SnapshotStore::new(&net, build(&net));
+            let before = Arc::as_ptr(&store.load().unwrap());
+            let delta = net
+                .apply_op(&SurgeryOp::Move {
+                    id: StationId(0),
+                    to: Point::new(-1.0, 2.0),
+                })
+                .unwrap();
+            let after = store.advance(&net, std::slice::from_ref(&delta)).unwrap();
+            assert_eq!(
+                Arc::as_ptr(&after),
+                before,
+                "an advance with no reader must apply in place"
+            );
+            assert_eq!(after.revision(), 1);
+            after.engine().freshness().unwrap();
+            let p = Point::new(-1.2, 1.9);
+            assert_eq!(after.engine().locate(p), ExactScan::new(&net).locate(p));
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! Also pinned here: the staleness contract (a mutated-but-unsynced
 //! engine refuses to answer), delta ordering (skipped deltas are
 //! [`SyncError::RevisionMismatch`]), delta provenance (foreign deltas
-//! are rejected), and remove-then-re-add of the same index.
+//! are rejected), remove-then-re-add of the same index, and the frozen
+//! engine contract ([`QueryEngine::freeze`]): a frozen engine follows
+//! its own network's deltas and stays fresh, while a frozen clone that
+//! applies a delta never moves the engine it was cloned from.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -22,6 +25,7 @@ use sinr_core::engine::{ExactScan, Located, QueryEngine, SyncError, VoronoiAssis
 use sinr_core::simd::{SimdKernel, SimdScan};
 use sinr_core::{gen, Network, NetworkDelta, NetworkError, SinrEvaluator, StationId, SurgeryOp};
 use sinr_geometry::{Point, Vector};
+use sinr_pointloc::{PointLocator, QdsConfig};
 
 /// Separated stations (non-degenerate zones, honest numerics).
 fn separated_points(seed: u64, n: usize) -> Vec<Point> {
@@ -210,6 +214,62 @@ fn assert_bit_identical<A: QueryEngine, B: QueryEngine>(
     Ok(())
 }
 
+/// The frozen-engine contract. `frozen` was frozen before `net`'s
+/// mutations and followed them with `apply`; `build` makes a fresh
+/// engine of the same backend. Checks that `frozen` is fresh at `net`'s
+/// revision and bit-identical to a fresh engine there; that a delta of
+/// another network is [`SyncError::ForeignDelta`]; and that a clone
+/// applying `net`'s next delta (`next`, applied to `net` here) leaves
+/// `frozen` fresh at its old revision with unchanged answers.
+fn assert_frozen_contract<E: QueryEngine + Clone, F: QueryEngine>(
+    name: &str,
+    frozen: &E,
+    net: &mut Network,
+    build: impl Fn(&Network) -> F,
+    next: &SurgeryOp,
+) -> Result<(), TestCaseError> {
+    // An independent copy at the same revision: engines built on it
+    // stay fresh while `net` moves on.
+    let before = net.clone();
+    let reference = build(&before);
+    prop_assert!(
+        frozen.freshness().is_ok(),
+        "{}: frozen engine is stale",
+        name
+    );
+    prop_assert_eq!(frozen.revision(), net.revision());
+    assert_bit_identical(name, frozen, &reference, &before)?;
+
+    let mut other = net.clone();
+    let foreign = other.apply_op(next).expect("valid op");
+    prop_assert_eq!(frozen.clone().apply(&foreign), Err(SyncError::ForeignDelta));
+
+    let delta = net.apply_op(next).expect("valid op");
+    let mut clone = frozen.clone();
+    clone
+        .apply(&delta)
+        .expect("the source network's delta applies");
+    prop_assert!(clone.freshness().is_ok());
+    prop_assert_eq!(clone.revision(), net.revision());
+    assert_bit_identical(name, &clone, &build(&net.clone()), net)?;
+    prop_assert!(
+        frozen.freshness().is_ok(),
+        "{}: a clone's apply flipped the original stale",
+        name
+    );
+    prop_assert_eq!(frozen.revision(), before.revision());
+    assert_bit_identical(name, frozen, &reference, &before)
+}
+
+/// The op [`assert_frozen_contract`] applies: a uniform-power move, so
+/// every backend (the Theorem-3 locator included) represents it.
+fn frozen_next_op() -> SurgeryOp {
+    SurgeryOp::Move {
+        id: StationId(0),
+        to: Point::new(0.35, -0.45),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -219,14 +279,19 @@ proptest! {
         let mut net = net;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut engine = ExactScan::new(&net);
+        let mut frozen = ExactScan::new(&net);
+        frozen.freeze();
         for _ in 0..12 {
             let delta = random_op(&mut rng, &mut net);
             prop_assert!(engine.is_stale());
+            prop_assert!(!frozen.is_stale());
             engine.apply(&delta).expect("delta applies in order");
+            frozen.apply(&delta).expect("a frozen engine follows its network");
             prop_assert!(!engine.is_stale());
             prop_assert_eq!(engine.revision(), net.revision());
         }
         assert_bit_identical("ExactScan", &engine, &ExactScan::new(&net), &net)?;
+        assert_frozen_contract("frozen ExactScan", &frozen, &mut net, ExactScan::new, &frozen_next_op())?;
     }
 
     /// SimdScan: every supported kernel, checked at the end of the
@@ -239,14 +304,18 @@ proptest! {
             }
             let mut net = net.clone();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut engine = SimdScan::with_kernel(SinrEvaluator::new(&net), kernel);
+            let build = |net: &Network| SimdScan::with_kernel(SinrEvaluator::new(net), kernel);
+            let mut engine = build(&net);
+            let mut frozen = build(&net);
+            frozen.freeze();
             for _ in 0..12 {
                 let delta = random_op(&mut rng, &mut net);
                 engine.apply(&delta).expect("delta applies in order");
+                frozen.apply(&delta).expect("a frozen engine follows its network");
             }
             prop_assert_eq!(engine.kernel(), kernel, "kernel must survive apply");
-            let fresh = SimdScan::with_kernel(SinrEvaluator::new(&net), kernel);
-            assert_bit_identical(kernel.name(), &engine, &fresh, &net)?;
+            assert_bit_identical(kernel.name(), &engine, &build(&net), &net)?;
+            assert_frozen_contract(kernel.name(), &frozen, &mut net, build, &frozen_next_op())?;
         }
     }
 
@@ -261,9 +330,12 @@ proptest! {
         let mut net = net;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut engine = VoronoiAssisted::new(&net);
+        let mut frozen = VoronoiAssisted::new(&net);
+        frozen.freeze();
         for _ in 0..14 {
             let delta = random_op(&mut rng, &mut net);
             engine.apply(&delta).expect("delta applies in order");
+            frozen.apply(&delta).expect("a frozen engine follows its network");
             let fresh = VoronoiAssisted::new(&net);
             // The weighted tree serves every power assignment — the
             // proximity dispatch survives every delta, power changes
@@ -275,6 +347,13 @@ proptest! {
             prop_assert!(fresh.uses_proximity_dispatch());
             assert_bit_identical("VoronoiAssisted", &engine, &fresh, &net)?;
         }
+        assert_frozen_contract(
+            "frozen VoronoiAssisted",
+            &frozen,
+            &mut net,
+            VoronoiAssisted::new,
+            &frozen_next_op(),
+        )?;
     }
 
     /// Scripted uniform → non-uniform → uniform power round trip: the
@@ -407,6 +486,33 @@ proptest! {
         assert_bit_identical("ExactScan batch-vs-fresh", &b_exact, &ExactScan::new(&batched), &batched)?;
         assert_bit_identical("Voronoi batch-vs-fresh", &b_voronoi, &VoronoiAssisted::new(&batched), &batched)?;
         assert_bit_identical("Simd batch-vs-fresh", &b_simd, &SimdScan::new(&batched), &batched)?;
+    }
+}
+
+proptest! {
+    // The locator's zone maps are costly to build, so fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The Theorem-3 locator under the frozen-engine contract, on the
+    /// only deltas it represents incrementally here: moves on a
+    /// uniform-power network.
+    #[test]
+    fn qds_frozen_engine_follows_uniform_moves(seed in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut net = gen::random_uniform_network(seed, 3, 5.0, 0.01, 1.8)
+            .expect("valid uniform network");
+        let build = |net: &Network| {
+            PointLocator::build(net, &QdsConfig::with_epsilon(0.5)).expect("qds preconditions hold")
+        };
+        let mut frozen = build(&net);
+        frozen.freeze();
+        for _ in 0..3 {
+            let i = rng.gen_range(0..net.len());
+            let to = Point::new(rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0));
+            let delta = net.move_station(StationId(i), to).expect("valid move");
+            frozen.apply(&delta).expect("a frozen locator follows uniform moves");
+        }
+        assert_frozen_contract("frozen qds", &frozen, &mut net, build, &frozen_next_op())?;
     }
 }
 

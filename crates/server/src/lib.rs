@@ -9,13 +9,12 @@
 //!
 //! The design is std-only (no async runtime exists in this workspace):
 //!
-//! * **Engine ownership.** A session either `Bind`s — it gets a private
-//!   [`Network`](sinr_core::Network) and
-//!   [`BoxedEngine`](sinr_core::BoxedEngine), the original share-nothing
-//!   path — or `Attach`es to a network another session `Register`ed
-//!   under a server-wide name. Attached sessions share **one**
-//!   [`SnapshotStore`](sinr_core::SnapshotStore) per (network, backend,
-//!   epsilon): queries run against the immutable
+//! * **Engine ownership.** Every serving session is attached to a
+//!   network: `Attach` names one another session `Register`ed under a
+//!   server-wide name, and `Bind` ships a network only that session can
+//!   reach ([`NamedNetwork::anonymous`](registry::NamedNetwork::anonymous)).
+//!   Sessions share **one** [`SnapshotStore`](sinr_core::SnapshotStore)
+//!   per (network, backend, epsilon): queries run against the immutable
 //!   [`EngineSnapshot`](sinr_core::EngineSnapshot) published for the
 //!   current revision, and a `Mutate` publishes a new snapshot that
 //!   every attached session observes at its next request while
@@ -114,9 +113,11 @@
 //! `2` unknown backend, `3` not bound, `4` already bound, `5` invalid
 //! network, `6` backend build, `7` revision mismatch, `8` surgery,
 //! `9` station out of range, `10` stale, `11` oversized, `12`
-//! unsupported (unbinds), `13` internal (closes), `14` channel
-//! unsupported (unbinds/detaches), `15` invalid channel, `16` name
-//! taken, `17` unknown network (detaches an attached session), `18`
+//! unsupported (the session's own `Mutate` left its backend unable to
+//! serve; unbinds), `13` internal (closes), `14` channel unsupported
+//! (unbinds), `15` invalid channel, `16` name taken, `17` unknown
+//! network (on a query: another session's mutation poisoned this
+//! session's store; unbinds), `18`
 //! still attached (`Unregister` refused), `19` overloaded (shed at
 //! accept — nothing was processed; closes). Unless noted, the session
 //! survives an error and processes the next frame.

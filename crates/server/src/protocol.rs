@@ -217,9 +217,10 @@ pub enum Request {
     },
     /// Publishes a network under a server-wide name so that any number
     /// of sessions can [`Request::Attach`] to it and share one engine
-    /// snapshot per (backend, revision) — the registry path, as opposed
-    /// to [`Request::Bind`]'s private-engine path. Works in any session
-    /// state (registering does not bind the registering session).
+    /// snapshot per (backend, revision) — as opposed to
+    /// [`Request::Bind`]'s network, which only the binding session can
+    /// reach. Works in any session state (registering does not bind the
+    /// registering session).
     Register {
         /// The registry name (1–[`MAX_NETWORK_NAME_LEN`] UTF-8 bytes).
         name: String,
@@ -262,8 +263,8 @@ pub enum Request {
     /// A reception-map raster over a window: the server labels every
     /// pixel centre of a `width × height` grid (row-major, bottom row
     /// first) and streams the labels back run-length encoded
-    /// ([`Response::Heatmap`]). Served from both Private and Attached
-    /// sessions; the server renders hierarchically (quadtree refinement
+    /// ([`Response::Heatmap`]). Served to bound and attached sessions
+    /// alike; the server renders hierarchically (quadtree refinement
     /// over interval certificates) but the pixels are bit-identical to
     /// a dense per-pixel evaluation on the same backend.
     HeatmapBatch {
@@ -422,9 +423,12 @@ pub enum ErrorCode {
     /// position is unrecoverable, the server closes the connection
     /// after sending this.
     Oversized,
-    /// `12` — after a mutate, the bound backend cannot represent the
-    /// new network (e.g. QDS and non-uniform power); the session is
+    /// `12` — after this session's own mutate, its backend cannot
+    /// represent the new network (e.g. QDS and non-uniform power), for
+    /// a bound and an attached session alike; the session is
     /// **unbound** (subsequent queries get [`ErrorCode::NotBound`]).
+    /// Other sessions on the same store learn of it as
+    /// [`ErrorCode::UnknownNetwork`] at their next query.
     Unsupported,
     /// `13` — the server caught an unexpected panic while handling the
     /// frame; it closes the connection after sending this.

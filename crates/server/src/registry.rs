@@ -1,16 +1,16 @@
-//! The server-side registry of **named networks**: the shared-engine
-//! serving path.
+//! The server-side registry of **named networks**: the one engine-
+//! ownership path of every session.
 //!
-//! `Bind` gives a session a private network and a private engine —
-//! isolation at the cost of one engine *per session*. The registry is
-//! the shared alternative: a network is [registered](NetworkRegistry::register)
-//! once under a name, any number of sessions [attach](NetworkRegistry::attach)
-//! to it, and all sessions attached with the same (backend, epsilon)
-//! share **one** [`SnapshotStore`] — one engine per (network, backend,
-//! revision), regardless of session count.
+//! A network is [registered](NetworkRegistry::register) once under a
+//! name, any number of sessions [attach](NetworkRegistry::attach) to
+//! it, and all sessions attached with the same (backend, epsilon) share
+//! **one** [`SnapshotStore`] — one engine per (network, backend,
+//! revision), regardless of session count. `Bind` takes the same path
+//! with a network no registry lists ([`NamedNetwork::anonymous`]), so
+//! only the binding session can reach it.
 //!
 //! Mutation goes through [`NamedNetwork::mutate`]: the network is
-//! revision-fenced exactly like the private path, then the emitted
+//! revision-fenced, then the emitted
 //! deltas advance every store (incremental
 //! [`sinr_core::QueryEngine::apply`], one publication per store)
 //! **off the network lock** — the lock is held only long enough to
@@ -194,11 +194,13 @@ impl std::fmt::Display for UnregisterError {
 
 impl std::error::Error for UnregisterError {}
 
-/// A registered network: the live [`Network`] plus the shared
+/// A served network: the live [`Network`] plus the shared
 /// [`SnapshotStore`]s serving it (one per attached backend flavour).
+/// Registered under a name, or anonymous (a `Bind` session's own).
 #[derive(Debug)]
 pub struct NamedNetwork {
-    name: String,
+    /// The registry name; `None` for an anonymous network.
+    name: Option<String>,
     /// Live attachments (one per undropped [`AttachGuard`]); gates
     /// [`NetworkRegistry::unregister`].
     attached: AtomicUsize,
@@ -231,30 +233,31 @@ struct NamedInner {
 }
 
 impl NamedNetwork {
-    /// The registry name.
-    pub fn name(&self) -> &str {
-        &self.name
+    fn new(name: Option<String>, net: Network) -> NamedNetwork {
+        NamedNetwork {
+            name,
+            attached: AtomicUsize::new(0),
+            mutation: Mutex::new(()),
+            inner: Mutex::new(NamedInner {
+                net,
+                stores: HashMap::new(),
+            }),
+        }
     }
 
-    /// The live network's current revision.
-    pub fn revision(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("named network lock")
-            .net
-            .revision()
+    /// A network no registry lists: reachable only through the handles
+    /// [`NamedNetwork::attach`] hands out (a `Bind` session's network).
+    pub fn anonymous(net: Network) -> Arc<NamedNetwork> {
+        Arc::new(NamedNetwork::new(None, net))
     }
 
-    /// The live network's current station count.
-    pub fn stations(&self) -> usize {
-        self.inner.lock().expect("named network lock").net.len()
-    }
-
-    /// A clone of the live network at its current revision (test and
-    /// example observability — differential suites rebuild local
-    /// engines from this).
-    pub fn network(&self) -> Network {
-        self.inner.lock().expect("named network lock").net.clone()
+    /// How error messages name this network: `network '<name>'` when
+    /// registered, `the session network` when anonymous.
+    pub(crate) fn description(&self) -> String {
+        match &self.name {
+            Some(name) => format!("network '{name}'"),
+            None => "the session network".to_owned(),
+        }
     }
 
     /// Number of live snapshot stores (one per attached backend
@@ -277,6 +280,48 @@ impl NamedNetwork {
         let inner = self.inner.lock().expect("named network lock");
         let store = inner.stores.get(&StoreKey::new(backend, epsilon))?;
         store.load().ok()
+    }
+
+    /// Attaches to this network with the given backend flavour,
+    /// creating the shared store on first attach and joining it on
+    /// every later one.
+    ///
+    /// # Errors
+    ///
+    /// The backend's build failure (see [`build_backend`]).
+    pub fn attach(
+        self: &Arc<NamedNetwork>,
+        backend: BackendId,
+        epsilon: f64,
+    ) -> Result<AttachHandle, String> {
+        let key = StoreKey::new(backend, epsilon);
+        let store = {
+            let mut inner = self.inner.lock().expect("named network lock");
+            match inner.stores.get(&key) {
+                Some(store) => Arc::clone(store),
+                None => {
+                    let engine = build_backend(backend, epsilon, &inner.net)?;
+                    let store = Arc::new(SnapshotStore::new(&inner.net, engine));
+                    inner.stores.insert(key, Arc::clone(&store));
+                    store
+                }
+            }
+        };
+        // A store in the map is almost always healthy (mutation drops
+        // poisoned ones), but a mutation advancing stores off-lock may
+        // not have unpublished a just-poisoned store yet — surface the
+        // poison as a build failure and let the client retry.
+        let revision = store.load().map_err(|e| e.to_string())?.revision();
+        self.attached.fetch_add(1, Ordering::AcqRel);
+        let guard = Arc::new(AttachGuard {
+            network: Arc::clone(self),
+        });
+        Ok(AttachHandle {
+            network: Arc::clone(self),
+            store,
+            revision,
+            guard,
+        })
     }
 
     /// Applies a revision-fenced timestep of surgery to the live
@@ -375,8 +420,8 @@ pub struct NetworkRegistry {
     networks: Mutex<HashMap<String, Arc<NamedNetwork>>>,
 }
 
-/// What [`NetworkRegistry::attach`] hands a session: the named network
-/// (for mutation) and the shared snapshot store (for queries).
+/// What [`NamedNetwork::attach`] hands a session: the network (for
+/// mutation) and the shared snapshot store (for queries).
 #[derive(Debug, Clone)]
 pub struct AttachHandle {
     /// The attached network.
@@ -414,22 +459,13 @@ impl NetworkRegistry {
         let revision = net.revision();
         networks.insert(
             name.to_owned(),
-            Arc::new(NamedNetwork {
-                name: name.to_owned(),
-                attached: AtomicUsize::new(0),
-                mutation: Mutex::new(()),
-                inner: Mutex::new(NamedInner {
-                    net,
-                    stores: HashMap::new(),
-                }),
-            }),
+            Arc::new(NamedNetwork::new(Some(name.to_owned()), net)),
         );
         Ok(revision)
     }
 
-    /// Attaches to a registered network with the given backend flavour,
-    /// creating the shared store on first attach and joining it on
-    /// every later one.
+    /// Attaches to a registered network with the given backend flavour
+    /// (see [`NamedNetwork::attach`]).
     ///
     /// # Errors
     ///
@@ -440,38 +476,10 @@ impl NetworkRegistry {
         backend: BackendId,
         epsilon: f64,
     ) -> Result<AttachHandle, AttachError> {
-        let network = self.get(name).ok_or(AttachError::UnknownNetwork)?;
-        let key = StoreKey::new(backend, epsilon);
-        let store = {
-            let mut inner = network.inner.lock().expect("named network lock");
-            match inner.stores.get(&key) {
-                Some(store) => Arc::clone(store),
-                None => {
-                    let engine = build_backend(backend, epsilon, &inner.net)
-                        .map_err(AttachError::BackendBuild)?;
-                    let store = Arc::new(SnapshotStore::new(&inner.net, engine));
-                    inner.stores.insert(key, Arc::clone(&store));
-                    store
-                }
-            }
-        };
-        // A store in the map is almost always healthy (mutation drops
-        // poisoned ones), but a mutation advancing stores off-lock may
-        // not have unpublished a just-poisoned store yet — surface the
-        // poison as a build failure and let the client retry.
-        let revision = store
-            .revision()
-            .map_err(|e| AttachError::BackendBuild(e.to_string()))?;
-        network.attached.fetch_add(1, Ordering::AcqRel);
-        let guard = Arc::new(AttachGuard {
-            network: Arc::clone(&network),
-        });
-        Ok(AttachHandle {
-            network,
-            store,
-            revision,
-            guard,
-        })
+        self.get(name)
+            .ok_or(AttachError::UnknownNetwork)?
+            .attach(backend, epsilon)
+            .map_err(AttachError::BackendBuild)
     }
 
     /// Removes a registered network, provided no session is attached.
@@ -505,16 +513,6 @@ impl NetworkRegistry {
             .expect("registry lock")
             .get(name)
             .cloned()
-    }
-
-    /// Every registered name, in no particular order.
-    pub fn names(&self) -> Vec<String> {
-        self.networks
-            .lock()
-            .expect("registry lock")
-            .keys()
-            .cloned()
-            .collect()
     }
 }
 
@@ -582,8 +580,7 @@ mod tests {
     }
 
     /// An [`ExactScan`]-backed engine whose `apply` blocks on a
-    /// [`Gate`] — only the store's private *master* ever has `apply`
-    /// called, so published (frozen) clones are unaffected.
+    /// [`Gate`] — only the store's `advance` calls `apply`.
     #[derive(Clone)]
     struct SlowApplyEngine {
         inner: BoxedEngine,

@@ -3,29 +3,27 @@
 //! One [`SessionCore`] serves one client. It is transport-agnostic —
 //! the worker-pool server drives many cores over polled sockets from a
 //! fixed set of threads, and [`serve_session`] drives one over a
-//! blocking [`Transport`] (the in-process pipe) — and it runs in one of
-//! three modes:
+//! blocking [`Transport`] (the in-process pipe) — and it is in one of
+//! two modes:
 //!
 //! * **Unbound** — fresh session; only `Bind`, `Attach` and `Register`
 //!   do real work.
-//! * **Private** (`Bind`) — the legacy share-nothing path: the session
-//!   owns its [`Network`] and its [`BoxedEngine`], so a hostile or
-//!   crashing client can never poison a neighbouring session. Behavior
-//!   on this path is pinned bit-identical to the pre-registry server by
-//!   the e2e and fuzz suites.
-//! * **Attached** (`Attach`) — the shared path: queries are served from
-//!   the [`Arc<EngineSnapshot>`](sinr_core::EngineSnapshot) currently
-//!   published by a [`SnapshotStore`] shared with every other session
-//!   attached to the same (network, backend, epsilon). `Mutate` goes
-//!   through the named network's revision fence and publishes a new
-//!   snapshot; a batch already running keeps its loaded `Arc` (RCU — it
-//!   finishes on the old snapshot, which frees when released).
+//! * **Attached** — queries are served from the
+//!   [`Arc<EngineSnapshot>`](sinr_core::EngineSnapshot) currently
+//!   published by a [`SnapshotStore`](sinr_core::SnapshotStore) shared
+//!   with every other session attached to the same (network, backend,
+//!   epsilon). `Attach` joins a registered network; `Bind` builds a
+//!   network no registry lists ([`NamedNetwork::anonymous`]) and
+//!   attaches to it the same way, so a hostile or crashing client can
+//!   never poison a neighbouring session's network. `Mutate` goes
+//!   through the network's revision fence and publishes a new snapshot;
+//!   a batch already running keeps its loaded `Arc` (RCU — it finishes
+//!   on the old snapshot, which frees when released).
 //!
 //! `Register` works in any mode and does not change the session's mode.
-//! The five query frames resolve the mode once into one [`QueryView`]
-//! (engine, station count, backend) and are answered by one code path
-//! whichever engine it names; only `Mutate` keeps a private and an
-//! attached arm, because their fencing differs.
+//! The five query frames resolve the session into one [`QueryView`]
+//! (engine, station count, backend) and are answered by one code path;
+//! `Mutate` has one arm, over [`NamedNetwork::mutate`].
 //!
 //! ## Pipelined mode
 //!
@@ -62,11 +60,12 @@
 //! * **Semantic failures** (unknown backend, revision fences, surgery
 //!   validation, staleness) are per-request typed errors; the session
 //!   survives.
-//! * **Mode-ending failures**: [`ErrorCode::Unsupported`] and
-//!   [`ErrorCode::ChannelUnsupported`] unbind/detach the session, and
-//!   [`ErrorCode::UnknownNetwork`] detaches an *attached* session (its
-//!   shared store was poisoned by a mutation its backend cannot
-//!   represent). Subsequent queries get [`ErrorCode::NotBound`].
+//! * **Mode-ending failures**: [`ErrorCode::Unsupported`] (this
+//!   session's `Mutate` poisoned its own store) and
+//!   [`ErrorCode::ChannelUnsupported`] unbind the session, and a query
+//!   answered [`ErrorCode::UnknownNetwork`] detaches it (another
+//!   session's mutation poisoned its store). Subsequent queries get
+//!   [`ErrorCode::NotBound`].
 //! * **Panics** while handling a frame are caught, answered with
 //!   [`ErrorCode::Internal`], and close only this session. The handler
 //!   itself is written not to panic — the catch is the last line of
@@ -74,48 +73,28 @@
 
 use crate::protocol::{decode_request, encode_response, BackendId, ErrorCode, Request, Response};
 use crate::registry::{
-    build_backend, AttachError, AttachGuard, MutateError, NamedNetwork, NetworkRegistry,
-    RegisterError, UnregisterError,
+    AttachError, AttachHandle, MutateError, NamedNetwork, NetworkRegistry, RegisterError,
+    UnregisterError,
 };
 use crate::transport::{RecvError, Transport, MAX_FRAME_LEN};
 use sinr_core::engine::BoxedEngine;
 use sinr_core::{
-    ChannelError, ChannelModel, EngineSnapshot, Located, McConfig, Network, NetworkDelta,
-    QueryEngine, SnapshotStore, StationId,
+    ChannelError, ChannelModel, Located, McConfig, QueryEngine, SnapshotError, StationId,
 };
 use sinr_geometry::Point;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// The private half of a session: one network, one engine, built by the
-/// `Bind` frame and mutated only by this session's `Mutate` frames.
-struct BoundState {
-    net: Network,
-    engine: BoxedEngine,
-    backend: BackendId,
-}
-
-/// The shared half of a session: a handle onto a registered network and
-/// the snapshot store shared with every session attached alike.
+/// What an attached session serves: its handle onto the network and the
+/// shared snapshot store, and the backend it asked for. Dropping this
+/// state (detach, unbind, session end) releases the handle's refcount
+/// that gates [`NetworkRegistry::unregister`].
 struct AttachedState {
-    network: Arc<NamedNetwork>,
-    store: Arc<SnapshotStore>,
+    handle: AttachHandle,
     backend: BackendId,
-    /// Holds the registry attachment alive: dropping this state (detach,
-    /// unbind, session end) releases the refcount that gates
-    /// [`NetworkRegistry::unregister`].
-    _guard: Arc<AttachGuard>,
 }
 
-/// What the session is currently serving.
-enum Mode {
-    Unbound,
-    Private(BoundState),
-    Attached(AttachedState),
-}
-
-/// What one query frame runs against, resolved once from the session
-/// mode: the private engine, or the engine of the snapshot an attached
+/// What one query frame runs against: the engine of the snapshot the
 /// session just loaded (the caller holds that `Arc` for the frame).
 #[derive(Clone, Copy)]
 struct QueryView<'a> {
@@ -131,7 +110,8 @@ struct QueryView<'a> {
 /// in-process sessions cannot drift apart.
 pub struct SessionCore {
     registry: Arc<NetworkRegistry>,
-    mode: Mode,
+    /// `None` while unbound.
+    attached: Option<AttachedState>,
 }
 
 impl SessionCore {
@@ -139,7 +119,7 @@ impl SessionCore {
     pub fn new(registry: Arc<NetworkRegistry>) -> SessionCore {
         SessionCore {
             registry,
-            mode: Mode::Unbound,
+            attached: None,
         }
     }
 
@@ -163,26 +143,17 @@ impl SessionCore {
         let outcome = catch_unwind(AssertUnwindSafe(|| self.handle(request)));
         match outcome {
             Ok(response) => {
-                // An Unsupported/ChannelUnsupported error unbinds or
-                // detaches (documented on the codes): the engine can no
-                // longer serve what the session is asking of it. An
-                // UnknownNetwork error on an *attached* session means
-                // its shared store was poisoned — detach likewise.
-                let mode_over = matches!(
+                // An Unsupported/ChannelUnsupported error unbinds
+                // (documented on the codes): the engine can no longer
+                // serve what the session is asking of it.
+                if matches!(
                     response,
                     Response::Error {
                         code: ErrorCode::Unsupported | ErrorCode::ChannelUnsupported,
                         ..
                     }
-                ) || (matches!(
-                    response,
-                    Response::Error {
-                        code: ErrorCode::UnknownNetwork,
-                        ..
-                    }
-                ) && matches!(self.mode, Mode::Attached(_)));
-                if mode_over {
-                    self.mode = Mode::Unbound;
+                ) {
+                    self.attached = None;
                 }
                 (encode_response(&response), false)
             }
@@ -204,24 +175,20 @@ impl SessionCore {
                 epsilon,
                 network,
             } => {
-                if !matches!(self.mode, Mode::Unbound) {
+                if self.attached.is_some() {
                     return already_bound();
                 }
                 let net = match network.build() {
                     Ok(net) => net,
                     Err(e) => return error(ErrorCode::InvalidNetwork, e.to_string()),
                 };
-                let engine = match build_backend(backend, epsilon, &net) {
-                    Ok(engine) => engine,
-                    Err(msg) => return error(ErrorCode::BackendBuild, msg),
-                };
-                let revision = net.revision();
-                self.mode = Mode::Private(BoundState {
-                    net,
-                    engine,
-                    backend,
-                });
-                Response::Bound { revision, backend }
+                match NamedNetwork::anonymous(net).attach(backend, epsilon) {
+                    Ok(handle) => Response::Bound {
+                        revision: self.adopt(handle, backend),
+                        backend,
+                    },
+                    Err(msg) => error(ErrorCode::BackendBuild, msg),
+                }
             }
             Request::Register { name, network } => match self.registry.register(&name, &network) {
                 Ok(revision) => Response::Registered { revision },
@@ -243,20 +210,14 @@ impl SessionCore {
                 backend,
                 epsilon,
             } => {
-                if !matches!(self.mode, Mode::Unbound) {
+                if self.attached.is_some() {
                     return already_bound();
                 }
                 match self.registry.attach(&name, backend, epsilon) {
-                    Ok(handle) => {
-                        let revision = handle.revision;
-                        self.mode = Mode::Attached(AttachedState {
-                            network: handle.network,
-                            store: handle.store,
-                            backend,
-                            _guard: handle.guard,
-                        });
-                        Response::Attached { revision, backend }
-                    }
+                    Ok(handle) => Response::Attached {
+                        revision: self.adopt(handle, backend),
+                        backend,
+                    },
                     Err(AttachError::UnknownNetwork) => error(
                         ErrorCode::UnknownNetwork,
                         format!("no network registered under '{name}'"),
@@ -271,49 +232,26 @@ impl SessionCore {
             Request::Mutate {
                 expected_revision,
                 ops,
-            } => match &mut self.mode {
-                Mode::Unbound => not_bound(),
-                Mode::Private(bound) => {
-                    let current = bound.net.revision();
-                    if expected_revision != current {
-                        return error(
-                            ErrorCode::RevisionMismatch,
-                            format!(
-                                "mutate was computed against revision {expected_revision} but the \
-                                 session network is at revision {current}; nothing was applied"
-                            ),
-                        );
-                    }
-                    match bound.net.apply_ops(&ops) {
-                        Ok(deltas) => {
-                            if let Err(resp) = catch_up(bound, &deltas) {
-                                return resp;
-                            }
-                            Response::Mutated {
-                                revision: bound.net.revision(),
-                                applied: deltas.len() as u32,
-                            }
-                        }
-                        Err(batch) => {
-                            // The prefix stays applied (in-place surgery,
-                            // not a transaction): re-sync the engine to it,
-                            // then report the failing op. The revision in
-                            // the message tells the client where the
-                            // session network now is.
-                            if let Err(resp) = catch_up(bound, &batch.applied) {
-                                return resp;
-                            }
-                            error(
-                                ErrorCode::Surgery,
-                                format!(
-                                    "{batch}; session network is now at revision {}",
-                                    bound.net.revision()
-                                ),
-                            )
-                        }
-                    }
+            } => {
+                let Some(att) = &self.attached else {
+                    return not_bound();
+                };
+                let network = &att.handle.network;
+                let outcome = network.mutate(expected_revision, &ops);
+                // This session's own store could not follow the mutation
+                // (e.g. the Theorem-3 locator after a non-uniform
+                // SetPower): Unsupported, and the session unbinds.
+                if let Err(SnapshotError::Unsupported(e)) = att.handle.store.load() {
+                    return error(
+                        ErrorCode::Unsupported,
+                        format!(
+                            "backend {} cannot represent {} after this mutation: {e}",
+                            att.backend,
+                            network.description()
+                        ),
+                    );
                 }
-                Mode::Attached(att) => match att.network.mutate(expected_revision, &ops) {
+                match outcome {
                     Ok(ok) => Response::Mutated {
                         revision: ok.revision,
                         applied: ok.applied,
@@ -321,20 +259,23 @@ impl SessionCore {
                     Err(MutateError::RevisionMismatch { expected, current }) => error(
                         ErrorCode::RevisionMismatch,
                         format!(
-                            "mutate was computed against revision {expected} but network '{}' \
-                             is at revision {current}; nothing was applied",
-                            att.network.name()
+                            "mutate was computed against revision {expected} but {} is at \
+                             revision {current}; nothing was applied",
+                            network.description()
                         ),
                     ),
+                    // The prefix stays applied (in-place surgery, not a
+                    // transaction); the revision in the message tells
+                    // the client where the network now is.
                     Err(MutateError::Surgery { message, revision }) => error(
                         ErrorCode::Surgery,
                         format!(
-                            "{message}; network '{}' is now at revision {revision}",
-                            att.network.name()
+                            "{message}; {} is now at revision {revision}",
+                            network.description()
                         ),
                     ),
-                },
-            },
+                }
+            }
             Request::ReceptionProbBatch {
                 trials,
                 seed,
@@ -371,31 +312,39 @@ impl SessionCore {
         }
     }
 
-    /// Resolves the session mode into the [`QueryView`] one query frame
-    /// runs against and answers it there: `NotBound` when unbound, the
-    /// typed detach error when an attached session's store is poisoned.
-    fn query(&self, answer: impl FnOnce(QueryView<'_>) -> Response) -> Response {
-        let snapshot: Arc<EngineSnapshot>;
-        let view = match &self.mode {
-            Mode::Unbound => return not_bound(),
-            Mode::Private(bound) => QueryView {
-                engine: &bound.engine,
-                stations: bound.net.len(),
-                backend: bound.backend,
-            },
-            Mode::Attached(att) => {
-                snapshot = match load_snapshot(att) {
-                    Ok(snapshot) => snapshot,
-                    Err(resp) => return resp,
-                };
-                QueryView {
-                    engine: snapshot.engine(),
-                    stations: snapshot.stations(),
-                    backend: att.backend,
-                }
+    /// Records an attachment as the session's mode and returns the
+    /// revision it was made at.
+    fn adopt(&mut self, handle: AttachHandle, backend: BackendId) -> u64 {
+        let revision = handle.revision;
+        self.attached = Some(AttachedState { handle, backend });
+        revision
+    }
+
+    /// Loads the session's current snapshot into the [`QueryView`] one
+    /// query frame runs against and answers it there: `NotBound` when
+    /// unbound; when the store is poisoned, the typed
+    /// [`ErrorCode::UnknownNetwork`] detach, leaving the session
+    /// unbound.
+    fn query(&mut self, answer: impl FnOnce(QueryView<'_>) -> Response) -> Response {
+        let Some(att) = &self.attached else {
+            return not_bound();
+        };
+        let snapshot = match att.handle.store.load() {
+            Ok(snapshot) => snapshot,
+            Err(e) => {
+                let detached = error(
+                    ErrorCode::UnknownNetwork,
+                    format!("detached from {}: {e}", att.handle.network.description()),
+                );
+                self.attached = None;
+                return detached;
             }
         };
-        answer(view)
+        answer(QueryView {
+            engine: snapshot.engine(),
+            stations: snapshot.stations(),
+            backend: att.backend,
+        })
     }
 }
 
@@ -452,43 +401,6 @@ fn already_bound() -> Response {
         ErrorCode::AlreadyBound,
         "this session is already bound; open a new connection".to_string(),
     )
-}
-
-/// The attached session's current snapshot, or the typed detach error
-/// (the caller returns it; [`SessionCore::handle_payload`] sees the
-/// [`ErrorCode::UnknownNetwork`] and drops the session to unbound).
-fn load_snapshot(att: &AttachedState) -> Result<Arc<EngineSnapshot>, Response> {
-    att.store.load().map_err(|e| {
-        error(
-            ErrorCode::UnknownNetwork,
-            format!("detached from network '{}': {e}", att.network.name()),
-        )
-    })
-}
-
-/// Brings a private engine up to date with deltas the session network
-/// just emitted: incremental [`QueryEngine::apply`] per delta, falling
-/// back to a full [`QueryEngine::sync`] if any application is refused.
-/// A failed sync means the backend cannot represent the mutated network
-/// at all — reported as [`ErrorCode::Unsupported`] (the caller unbinds).
-fn catch_up(bound: &mut BoundState, deltas: &[NetworkDelta]) -> Result<(), Response> {
-    for delta in deltas {
-        if bound.engine.apply(delta).is_err() {
-            break;
-        }
-    }
-    if bound.engine.is_stale() {
-        bound.engine.sync(&bound.net).map_err(|e| {
-            error(
-                ErrorCode::Unsupported,
-                format!(
-                    "backend {} cannot represent the mutated network: {e}",
-                    bound.backend
-                ),
-            )
-        })?;
-    }
-    Ok(())
 }
 
 fn locate_on(engine: &BoxedEngine, points: &[Point]) -> Response {

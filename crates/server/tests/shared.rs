@@ -578,6 +578,53 @@ fn poisoned_store_detaches_only_its_backend() {
     handle.shutdown();
 }
 
+/// An attached session whose own `Mutate` poisons its own store is
+/// answered `Unsupported` and unbound on the spot, exactly like a bound
+/// session; the mutation itself stands, and a session attached with a
+/// backend that can represent it reads the new revision.
+#[test]
+fn own_poisoning_mutate_unbinds_an_attached_session() {
+    let server = Server::bind("127.0.0.1:0").expect("bind");
+    let handle = server.spawn().expect("spawn");
+    let addr = handle.addr();
+
+    let mut mirror = grid_network(2);
+    let mut exact = Client::connect(addr).expect("connect");
+    exact.register_network("own", &mirror).expect("register");
+    exact
+        .attach("own", BackendId::ExactScan, 0.0)
+        .expect("attach exact");
+    let mut qds = Client::connect(addr).expect("connect");
+    qds.attach("own", BackendId::Qds, 0.25).expect("attach qds");
+
+    let op = SurgeryOp::SetPower {
+        id: StationId(0),
+        power: 2.0,
+    };
+    match qds.mutate(0, &[op]) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Unsupported),
+        other => panic!("expected Unsupported, got {other:?}"),
+    }
+    let probe = [Point::new(0.5, 0.1)];
+    match qds.locate_batch(&probe) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::NotBound),
+        other => panic!("expected NotBound after Unsupported, got {other:?}"),
+    }
+
+    mirror.apply_op(&op).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+    let points = random_queries(&mut rng, 200);
+    let (rev, answers) = exact.locate_batch(&points).expect("exact still attached");
+    assert_eq!(rev, mirror.revision());
+    let mut expected = vec![Located::Silent; points.len()];
+    fresh_local(BackendId::ExactScan, &mirror).locate_batch(&points, &mut expected);
+    assert_eq!(answers, expected);
+
+    drop(exact);
+    drop(qds);
+    handle.shutdown();
+}
+
 /// Registration and attachment failure corners, all typed and all
 /// survivable.
 #[test]

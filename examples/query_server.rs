@@ -134,7 +134,7 @@ fn self_demo() -> Result<(), Box<dyn std::error::Error>> {
 
     // Shared phase (PR 7): publish the mutated network under a name and
     // let several sessions answer from ONE shared engine snapshot —
-    // versus the private engine each `Bind` above built for itself.
+    // versus the engine each `Bind` above built for its own network.
     let rev = client.register_network("demo", &moved)?;
     println!("registered the current network as 'demo' (revision {rev})");
     let mut attached: Vec<Client<_>> = (0..3)
