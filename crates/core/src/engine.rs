@@ -126,22 +126,21 @@
 //! [`Select::MaxEnergy`](crate::tile::Select::MaxEnergy) /
 //! the weighted kd-tree's best-first `strongest` walk) — then runs a
 //! single candidate interference sum instead of an `O(n)` argmax scan.
-//! Both walks and both tiled selection rules pick the same station as
-//! the full scans on the same per-station energies, which is what keeps
-//! the backend bit-identical to `SimdScan` per kernel.
+//! The tiled executor runs one SIMD argmax scan for both rules; under
+//! `Select::Nearest` it answers a certified reception only when it
+//! provably names the nearest station (`β ≥ 1`) and otherwise falls
+//! back to the tree walk, so tiled answers stay bit-identical to the
+//! backend's own `locate`. It is *not* bit-identical to `SimdScan`
+//! everywhere: at an exact energy tie between stations at different
+//! distances the nearest walk names the nearer station, the argmax the
+//! first index (and for `α ≠ 2`, `powf` rounding can order two
+//! near-equal energies against their distances).
 //!
-//! `sinr_batch` routes through the same certified tiled executor
-//! ([`crate::tile::sinr_batch_tiled`]): Morton tiling for spatial
-//! locality, plus a **bulk-zero certificate** — a tile where the
-//! queried station's energy envelope tops out at exactly `0.0` while
-//! noise or some other station's energy is provably positive writes
-//! `+0.0` for the whole tile without per-point evaluation (exact, not
-//! approximate: the inverse-square kernel's correctly-rounded
-//! arithmetic makes the envelope bound itself bit-exact there). All
-//! other points re-run the engine's own serial kernel, so `sinr_batch`
-//! stays bit-identical to the serial path; the Theorem-3 `PointLocator`
-//! reuses the tile grouping so queries dispatching to the same zone
-//! grid are processed together.
+//! `sinr_batch` runs the engine's own serial kernel per point in Morton
+//! tile order ([`crate::tile::batch_map_morton`]) for spatial locality,
+//! so it stays bit-identical to the serial path; the Theorem-3
+//! `PointLocator` reuses the tile grouping so queries dispatching to the
+//! same zone grid are processed together.
 //!
 //! ## Interval certificates
 //!
@@ -1024,13 +1023,10 @@ impl SinrEvaluator {
     }
 
     /// Batched [`SinrEvaluator::sinr`] for one station across many
-    /// points — scheduled in Morton-tile order for spatial coherence.
-    /// Batches that clear [`TileConfig`](crate::tile::TileConfig)'s
-    /// engagement thresholds run the certified tiled executor
-    /// ([`crate::tile::sinr_batch_tiled`]): tiles whose value is
-    /// provably `+0.0` everywhere are bulk-filled, every other point
-    /// runs the unchanged per-point kernel — so values stay
-    /// bit-identical to serial [`SinrEvaluator::sinr`] calls.
+    /// points — scheduled in Morton-tile order for spatial coherence
+    /// ([`crate::tile::batch_map_morton`]). Every point runs the
+    /// unchanged per-point kernel, so values stay bit-identical to
+    /// serial [`SinrEvaluator::sinr`] calls.
     ///
     /// # Panics
     ///
@@ -1039,21 +1035,6 @@ impl SinrEvaluator {
         self.assert_fresh();
         assert!(i.0 < self.len(), "station {i} out of range");
         let cfg = crate::tile::TileConfig::default();
-        if cfg.engages(points.len(), self.len()) {
-            self.with_kernel(|ev, k| match k {
-                DynKernel::Square(k) => {
-                    crate::tile::sinr_batch_tiled(ev, i, points, out, &cfg, |p| {
-                        ev.sinr_with(k, i.0, p)
-                    });
-                }
-                DynKernel::General(k) => {
-                    crate::tile::sinr_batch_tiled(ev, i, points, out, &cfg, |p| {
-                        ev.sinr_with(k, i.0, p)
-                    });
-                }
-            });
-            return;
-        }
         self.with_kernel(|ev, k| match k {
             DynKernel::Square(k) => {
                 crate::tile::batch_map_morton(points, out, &cfg, |p| ev.sinr_with(k, i.0, p))
@@ -1104,7 +1085,14 @@ impl SinrEvaluator {
         out: &mut [Option<Located>],
     ) {
         self.assert_fresh();
-        crate::tile::locate_in_cell(self, crate::tile::Select::MaxEnergy, cert, points, out);
+        crate::tile::locate_in_cell(
+            self,
+            crate::simd::SimdKernel::Portable,
+            crate::tile::Select::MaxEnergy,
+            cert,
+            points,
+            out,
+        );
     }
 }
 
@@ -1822,7 +1810,14 @@ impl QueryEngine for VoronoiAssisted {
         // rule (nearest for uniform power, max-energy otherwise);
         // uncertifiable points stay `None` for the caller's tiled
         // batch path.
-        crate::tile::locate_in_cell(&self.eval, self.tile_select(), cert, points, out);
+        crate::tile::locate_in_cell(
+            &self.eval,
+            self.kernel,
+            self.tile_select(),
+            cert,
+            points,
+            out,
+        );
         true
     }
 

@@ -775,12 +775,14 @@ impl QueryEngine for SimdScan {
         out: &mut [Option<Located>],
     ) -> bool {
         self.eval.assert_fresh();
-        // Candidate-certified decisions (the scalar candidate energies
-        // are bit-identical to every kernel's, so the certified argmax
-        // matches the vectorized scans); uncertifiable points stay
-        // `None` for the caller's tiled batch path.
+        // Candidate-certified decisions through this engine's pinned
+        // kernel (per-station energies are bit-identical across
+        // kernels, so the certified argmax matches the full scans);
+        // uncertifiable points stay `None` for the caller's tiled
+        // batch path.
         crate::tile::locate_in_cell(
             &self.eval,
+            self.kernel,
             crate::tile::Select::MaxEnergy,
             cert,
             points,

@@ -33,7 +33,9 @@
 //!    gathered candidate columns (through the same SIMD kernels as the
 //!    full scans — AVX-512/AVX2/SSE2/portable). Per-station energies are
 //!    bit-identical to the full scan's by kernel contract, so the argmax
-//!    (or nearest-station) choice is *exact*. The reception test is then
+//!    choice is *exact*; it also serves the nearest-station rule (see
+//!    [`Select::Nearest`]) and [`locate_in_cell`]'s certificate
+//!    candidates. The reception test is then
 //!    evaluated at both ends of the residual interval: if both ends
 //!    agree, the decision is certified and emitted; if they disagree
 //!    (the point sits within the interval's width of the `SINR = β`
@@ -58,8 +60,7 @@
 use crate::bounds::{dist2_range_to_box, energy_envelope};
 use crate::engine::steal::OutputSlots;
 use crate::engine::{
-    GeneralAlpha, InverseSquare, Located, PathLoss, SinrEvaluator, BATCH_TILE,
-    PARALLEL_BATCH_THRESHOLD,
+    GeneralAlpha, InverseSquare, Located, SinrEvaluator, BATCH_TILE, PARALLEL_BATCH_THRESHOLD,
 };
 use crate::simd::{self, SimdKernel};
 use crate::station::StationId;
@@ -121,7 +122,9 @@ impl TileConfig {
     }
 }
 
-/// How the tiled executor selects each point's candidate transmitter.
+/// The candidate rule of the calling backend's serial path. Both rules
+/// run the same SIMD argmax scan over the candidates; `Select` only
+/// decides whether a certified reception may be answered from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Select {
     /// Maximum-energy station (first index on exact energy ties) — the
@@ -136,10 +139,22 @@ pub enum Select {
     MaxEnergy,
     /// Nearest station (first index on exact squared-distance ties) —
     /// the Observation-2.2 dispatch [`crate::engine::VoronoiAssisted`]
-    /// uses when the current powers are uniform. Only equivalent to
-    /// `MaxEnergy` for uniform power; callers must not use it otherwise
-    /// (the engines never do — `VoronoiAssisted` switches to
-    /// `MaxEnergy` per batch when powers differ).
+    /// uses when the current powers are uniform. Callers must not use
+    /// it otherwise (the engines never do — `VoronoiAssisted` switches
+    /// to `MaxEnergy` per batch when powers differ).
+    ///
+    /// Under uniform power the nearest station is also the strongest,
+    /// so the argmax names it except where another station's rounded
+    /// energy comes within a few ulps (`δ`) of the best. Such a near-tie
+    /// puts `≥ (1 − δ)·e_best·(1 + TOTAL_MARGIN)` into the interference
+    /// at the top of the certified bracket, so with `β ≥ 1` the
+    /// certified reception test fails and the point falls back to the
+    /// kd-tree. With `β < 1` two stations at different distances can
+    /// share the exact rounded energy and both pass: the first-index
+    /// argmax then names the farther one while the kd-tree names the
+    /// nearer one. So under `Nearest` with `β < 1` every certified
+    /// reception falls back; certified silence is answered under both
+    /// rules (every station's test fails where the argmax's does).
     Nearest,
 }
 
@@ -363,16 +378,50 @@ where
     });
 }
 
+/// Gathered candidate stations as SoA columns, ascending by station
+/// index (the argmax first-index tie rule rides on this) — the input of
+/// the one per-point scan, [`Decider::certify`].
+#[derive(Default)]
+struct Candidates {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    ws: Vec<f64>,
+    idx: Vec<u32>,
+}
+
+impl Candidates {
+    fn with_capacity(n: usize) -> Self {
+        Candidates {
+            xs: Vec::with_capacity(n),
+            ys: Vec::with_capacity(n),
+            ws: Vec::with_capacity(n),
+            idx: Vec::with_capacity(n),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.xs.clear();
+        self.ys.clear();
+        self.ws.clear();
+        self.idx.clear();
+    }
+
+    /// Appends station `j` of the evaluator's SoA columns.
+    fn push(&mut self, (xs, ys, ws): (&[f64], &[f64], &[f64]), j: usize) {
+        self.xs.push(xs[j]);
+        self.ys.push(ys[j]);
+        self.ws.push(ws[j]);
+        self.idx.push(j as u32);
+    }
+}
+
 /// Per-worker scratch of the pruned executor: the per-station envelope
-/// columns and the gathered candidate SoA columns, reused across tiles.
+/// columns and the gathered candidates, reused across tiles.
 #[derive(Default)]
 struct Scratch {
     lb: Vec<f64>,
     ub: Vec<f64>,
-    cxs: Vec<f64>,
-    cys: Vec<f64>,
-    cws: Vec<f64>,
-    cidx: Vec<u32>,
+    cands: Candidates,
 }
 
 /// The reception test of [`SinrEvaluator::decide`] evaluated at an
@@ -387,12 +436,61 @@ pub(crate) fn receives_at_total(best_e: f64, total: f64, noise: f64, beta: f64) 
     interference_plus_noise <= 0.0 || best_e >= beta * interference_plus_noise
 }
 
-/// The per-point outcome of a certified tile scan.
-enum Certified {
-    Answer(Located),
-    /// The decision sits within the residual interval of the `β`
-    /// boundary — re-run the backend's serial kernel.
-    Fallback,
+/// The per-call constants of the one per-point certified decision: the
+/// pinned scan kernel, the network's `α`, `N` and `β`, and whether a
+/// certified reception may be answered at all (the `β < 1` guard of
+/// [`Select::Nearest`]).
+#[derive(Clone, Copy)]
+struct Decider {
+    kernel: SimdKernel,
+    alpha: f64,
+    noise: f64,
+    beta: f64,
+    receptions: bool,
+}
+
+impl Decider {
+    fn new(eval: &SinrEvaluator, kernel: SimdKernel, select: Select) -> Self {
+        debug_assert!(
+            select == Select::MaxEnergy || eval.is_uniform_power(),
+            "Select::Nearest requires uniform power (Observation 2.2)"
+        );
+        Decider {
+            kernel,
+            alpha: eval.alpha(),
+            noise: eval.noise(),
+            beta: eval.beta(),
+            receptions: select == Select::MaxEnergy || eval.beta() >= 1.0,
+        }
+    }
+
+    /// One certified point: a SIMD argmax scan of the candidate columns
+    /// (per-station energies bit-identical to the full scan, so the
+    /// argmax index is exact), then the reception test at both ends of
+    /// the total-energy interval `[S_C + resid_lo, S_C + resid_hi]`
+    /// widened by [`TOTAL_MARGIN`]. `None` when the ends disagree — the
+    /// point sits within the interval's width of the `β` boundary — or
+    /// when the `β < 1` guard declines a reception.
+    #[inline]
+    fn certify(&self, c: &Candidates, p: Point, resid_lo: f64, resid_hi: f64) -> Option<Located> {
+        let scan = match simd::scan_slices(self.kernel, self.alpha, &c.xs, &c.ys, &c.ws, p) {
+            // Coincident stations always survive pruning (their envelope
+            // top is ∞), so the first coincident candidate is the first
+            // coincident station of the whole scan.
+            Err(k) => return Some(Located::Reception(StationId(c.idx[k] as usize))),
+            Ok(scan) => scan,
+        };
+        let hi = (scan.total + resid_hi) * (1.0 + TOTAL_MARGIN);
+        let lo = (scan.total + resid_lo) * (1.0 - TOTAL_MARGIN);
+        if receives_at_total(scan.best_energy, hi, self.noise, self.beta) {
+            self.receptions
+                .then(|| Located::Reception(StationId(c.idx[scan.best] as usize)))
+        } else if !receives_at_total(scan.best_energy, lo, self.noise, self.beta) {
+            Some(Located::Silent)
+        } else {
+            None
+        }
+    }
 }
 
 /// The tile-pruned batch executor behind
@@ -407,9 +505,11 @@ enum Certified {
 /// tiles and uncertifiable points, which is what makes the executor's
 /// answers bit-identical to that backend's serial path. `kernel` drives
 /// the candidate scans (any supported kernel yields identical answers;
-/// backends pass their pinned kernel). `Select::Nearest` additionally
-/// requires uniform power (the Observation-2.2 precondition — the
-/// caller's contract, as for [`crate::engine::VoronoiAssisted`]).
+/// backends pass their pinned kernel). Both selection rules run the same
+/// argmax scan; `select` names the rule `fallback` follows (see
+/// [`Select`]), and `Select::Nearest` additionally requires uniform
+/// power (the Observation-2.2 precondition — the caller's contract, as
+/// for [`crate::engine::VoronoiAssisted`]).
 ///
 /// Returns run statistics; answers are written into `out` at their
 /// original positions.
@@ -436,19 +536,15 @@ where
         points.len(),
         out.len()
     );
-    debug_assert!(
-        select == Select::MaxEnergy || eval.is_uniform_power(),
-        "Select::Nearest requires uniform power (Observation 2.2)"
-    );
+    let decider = Decider::new(eval, kernel, select);
     let tile = cfg.tile_points.max(1);
     let order = morton_order(points);
     let slots = OutputSlots::new(out);
     let num_tiles = order.len().div_ceil(tile);
-    let (xs, ys, ws) = eval.soa();
+    let soa = eval.soa();
+    let (xs, ys, ws) = soa;
     let n = xs.len();
     let alpha = eval.alpha();
-    let noise = eval.noise();
-    let beta = eval.beta();
     let pruned_tiles = AtomicU64::new(0);
     let candidate_stations = AtomicU64::new(0);
     let fallback_points = AtomicU64::new(0);
@@ -498,27 +594,20 @@ where
                 m = lo;
             }
         }
-        // Candidate gather (ascending index — the argmax/argmin
-        // first-index tie rules ride on this) and the residual
-        // interference interval over the pruned stations.
-        scratch.cxs.clear();
-        scratch.cys.clear();
-        scratch.cws.clear();
-        scratch.cidx.clear();
+        // Candidate gather and the residual interference interval over
+        // the pruned stations.
+        scratch.cands.clear();
         let mut resid_lo = 0.0f64;
         let mut resid_hi = 0.0f64;
         for j in 0..n {
             if scratch.ub[j] >= m {
-                scratch.cidx.push(j as u32);
-                scratch.cxs.push(xs[j]);
-                scratch.cys.push(ys[j]);
-                scratch.cws.push(ws[j]);
+                scratch.cands.push(soa, j);
             } else {
                 resid_lo += scratch.lb[j];
                 resid_hi += scratch.ub[j];
             }
         }
-        let n_c = scratch.cidx.len();
+        let n_c = scratch.cands.idx.len();
         // Pruning that keeps ~everything cannot pay for the gather and
         // the certification: run the serial kernel directly.
         if n_c * 8 >= n * 7 {
@@ -532,21 +621,12 @@ where
         let mut tile_fallbacks = 0u64;
         for &i in idxs {
             let p = points[i as usize];
-            let outcome = match select {
-                Select::MaxEnergy => {
-                    certify_max_energy(kernel, alpha, scratch, p, resid_lo, resid_hi, noise, beta)
-                }
-                Select::Nearest => {
-                    certify_nearest(alpha, scratch, p, resid_lo, resid_hi, noise, beta)
-                }
-            };
-            let answer = match outcome {
-                Certified::Answer(a) => a,
-                Certified::Fallback => {
+            let answer = decider
+                .certify(&scratch.cands, p, resid_lo, resid_hi)
+                .unwrap_or_else(|| {
                     tile_fallbacks += 1;
                     fallback(p)
-                }
-            };
+                });
             slots.write(i as usize, answer);
         }
         if tile_fallbacks > 0 {
@@ -560,114 +640,6 @@ where
         candidate_stations: candidate_stations.into_inner(),
         fallback_points: fallback_points.into_inner(),
     }
-}
-
-/// Certified decision from the interval `[S_C + L_R, S_C + U_R]`
-/// (widened by [`TOTAL_MARGIN`]) around every kernel's rounded total.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn certify_decision(
-    best: StationId,
-    best_e: f64,
-    s_c: f64,
-    resid_lo: f64,
-    resid_hi: f64,
-    noise: f64,
-    beta: f64,
-) -> Certified {
-    let hi = (s_c + resid_hi) * (1.0 + TOTAL_MARGIN);
-    let lo = (s_c + resid_lo) * (1.0 - TOTAL_MARGIN);
-    if receives_at_total(best_e, hi, noise, beta) {
-        Certified::Answer(Located::Reception(best))
-    } else if !receives_at_total(best_e, lo, noise, beta) {
-        Certified::Answer(Located::Silent)
-    } else {
-        Certified::Fallback
-    }
-}
-
-/// One certified point in `MaxEnergy` mode: SIMD argmax scan of the
-/// candidate columns (per-station energies bit-identical to the full
-/// scan, so the argmax index is exact), then the certified decision.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn certify_max_energy(
-    kernel: SimdKernel,
-    alpha: f64,
-    scratch: &Scratch,
-    p: Point,
-    resid_lo: f64,
-    resid_hi: f64,
-    noise: f64,
-    beta: f64,
-) -> Certified {
-    match simd::scan_slices(kernel, alpha, &scratch.cxs, &scratch.cys, &scratch.cws, p) {
-        // Coincident stations always survive pruning (their envelope
-        // top is ∞), so the first coincident candidate is the first
-        // coincident station of the whole scan.
-        Err(c) => Certified::Answer(Located::Reception(StationId(scratch.cidx[c] as usize))),
-        Ok(scan) => certify_decision(
-            StationId(scratch.cidx[scan.best] as usize),
-            scan.best_energy,
-            scan.total,
-            resid_lo,
-            resid_hi,
-            noise,
-            beta,
-        ),
-    }
-}
-
-/// One certified point in `Nearest` mode: exact nearest candidate by
-/// squared distance (strictly-less, first index on exact ties — the
-/// kd-tree's documented rule; the nearest station always survives
-/// pruning since for uniform power it is also the strongest), then the
-/// certified decision with its energy.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn certify_nearest(
-    alpha: f64,
-    scratch: &Scratch,
-    p: Point,
-    resid_lo: f64,
-    resid_hi: f64,
-    noise: f64,
-    beta: f64,
-) -> Certified {
-    let mut best = 0usize;
-    let mut best_d2 = f64::INFINITY;
-    let mut sum = 0.0f64;
-    let k_general = GeneralAlpha::new(alpha);
-    for c in 0..scratch.cidx.len() {
-        let dx = scratch.cxs[c] - p.x;
-        let dy = scratch.cys[c] - p.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 < best_d2 {
-            best_d2 = d2;
-            best = c;
-        }
-        // Plain positive sum: only feeds the certified bounds, whose
-        // TOTAL_MARGIN dwarfs the uncompensated rounding.
-        sum += if alpha == 2.0 {
-            InverseSquare.attenuation(d2) * scratch.cws[c]
-        } else {
-            k_general.attenuation(d2) * scratch.cws[c]
-        };
-    }
-    let station = StationId(scratch.cidx[best] as usize);
-    if best_d2 == 0.0 {
-        // At a station's position: reception by the `{sᵢ}` clause, tie
-        // toward the smallest index — the serial tree path's rule.
-        return Certified::Answer(Located::Reception(station));
-    }
-    // The candidate's energy, computed with the exact operation
-    // sequence of every scan kernel (`RN(RN(attenuation)·ψ)`).
-    let best_e = if alpha == 2.0 {
-        InverseSquare.attenuation(best_d2) * scratch.cws[best]
-    } else {
-        k_general.attenuation(best_d2) * scratch.cws[best]
-    };
-    certify_decision(station, best_e, sum, resid_lo, resid_hi, noise, beta)
 }
 
 // ---------------------------------------------------------------------
@@ -1109,18 +1081,21 @@ pub(crate) fn cell_certificate(
 /// behind
 /// [`QueryEngine::locate_in_cell`](crate::engine::QueryEngine::locate_in_cell).
 ///
-/// For each point (which must lie inside the certificate's cell), the
-/// candidates' exact kernel energies at the point plus the certificate's
-/// frozen residual bracket give a certified total interval, and the
-/// decision follows the same one-sided tests as the tiled executor
-/// (`certify_decision`). A `Some` answer is **bit-identical to the
-/// backend's own `locate`** at that point; points whose decision sits
-/// inside the residual interval come back `None`, and the caller keeps
-/// them on its ordinary batch path (re-running a full per-point scan
-/// here would cost more than the batch executor's pruned one). Cost per
-/// point is `O(candidates)`: for boundary pixels of a quadtree
-/// refinement the candidate list is the handful of locally competitive
-/// stations, so even a modest hit rate beats full scans.
+/// The certificate's surviving candidates are gathered once per call
+/// into the same SoA columns the tiled executor scans, and each point
+/// (which must lie inside the certificate's cell) runs the tiled
+/// executor's per-point decision: the SIMD argmax over the candidates
+/// plus the certificate's frozen residual bracket `[frozen_lo,
+/// frozen_hi]`. A `Some` answer is **bit-identical to the backend's own
+/// `locate`** at that point; points whose decision sits inside the
+/// residual interval come back `None`, and the caller keeps them on its
+/// ordinary batch path (re-running a full per-point scan here would cost
+/// more than the batch executor's pruned one). Cost per point is
+/// `O(candidates)`: for boundary pixels of a quadtree refinement the
+/// candidate list is the handful of locally competitive stations, so
+/// even a modest hit rate beats full scans. `kernel` and `select` are
+/// the calling backend's pinned kernel and selection rule, as for
+/// [`locate_batch_tiled`].
 ///
 /// Soundness of answering from the candidates alone: every
 /// non-candidate station is frozen **certified-silent** over an ancestor
@@ -1129,17 +1104,19 @@ pub(crate) fn cell_certificate(
 /// `e_f ≥ e_c` would pass the reception test whenever `c` does (the
 /// test is monotone in energy at fixed total), contradicting its
 /// silence certificate; the same exclusion argument as
-/// [`CellDecision::Reception`]'s unique-argmax rule, and under uniform
-/// power it equally pins the nearest station for `Select::Nearest`. A
-/// certified failure answers `Silent` regardless of the argmax: a
-/// frozen argmax fails by its own certificate, a candidate argmax by
-/// this one.
+/// [`CellDecision::Reception`]'s unique-argmax rule. Under
+/// `Select::Nearest` the global argmax is also the nearest station
+/// whenever `β ≥ 1` (see [`Select`]), and for `β < 1` the guard turns
+/// every reception into `None`. A certified failure answers `Silent`
+/// regardless of the selection rule: the argmax has the largest energy,
+/// so every station's test fails where its test fails.
 ///
 /// # Panics
 ///
 /// Panics if `points` and `out` have different lengths.
 pub fn locate_in_cell(
     eval: &SinrEvaluator,
+    kernel: SimdKernel,
     select: Select,
     cert: &CellCert,
     points: &[Point],
@@ -1157,233 +1134,26 @@ pub fn locate_in_cell(
         eval.soa().0.len(),
         "certificate is for a different network"
     );
-    debug_assert!(
-        select == Select::MaxEnergy || eval.is_uniform_power(),
-        "Select::Nearest requires uniform power (Observation 2.2)"
-    );
-    for (p, slot) in points.iter().zip(out.iter_mut()) {
-        *slot = locate_in_cert(eval, select, cert, *p);
-    }
-}
-
-/// One certified point location against `cert` (see
-/// [`locate_in_cell`]); `None` when the margins cannot pin the decision
-/// or the point lies outside the certified cell.
-fn locate_in_cert(
-    eval: &SinrEvaluator,
-    select: Select,
-    cert: &CellCert,
-    p: Point,
-) -> Option<Located> {
-    // Outside the certified cell the envelopes say nothing.
-    if !(p.x >= cert.min_x && p.x <= cert.max_x && p.y >= cert.min_y && p.y <= cert.max_y) {
-        return None;
-    }
-    if cert.cands.is_empty() {
-        // Every station is frozen certified-silent over an ancestor
-        // cell containing `p`: whichever station any backend selects,
-        // its test provably fails there.
-        return Some(Located::Silent);
-    }
-    let (xs, ys, ws) = eval.soa();
-    let alpha = eval.alpha();
-    let k_general = GeneralAlpha::new(alpha);
-    let mut sum = 0.0f64;
-    let mut best = usize::MAX;
-    let mut best_e = f64::NEG_INFINITY;
-    let mut best_d2 = f64::INFINITY;
+    let decider = Decider::new(eval, kernel, select);
+    let soa = eval.soa();
+    let mut cands = Candidates::with_capacity(cert.cands.len());
     for &(j, _, _) in &cert.cands {
-        let j = j as usize;
-        let dx = xs[j] - p.x;
-        let dy = ys[j] - p.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 == 0.0 {
-            // Co-located with a station: reception by the `{sᵢ}`
-            // clause, first index — and this IS the full scan's first
-            // co-location: a frozen station is never co-located with a
-            // cell point (inside an ancestor cell its envelope top is
-            // `∞` there, which `cell_silent` rejects), and candidates
-            // ascend by index.
-            return Some(Located::Reception(StationId(j)));
-        }
-        // The exact per-station operation sequence of every scan
-        // kernel: `RN(RN(attenuation)·ψ)`. Plain positive sum — it only
-        // feeds the certified bounds, whose `TOTAL_MARGIN` dwarfs the
-        // uncompensated rounding (as in the tiled executor).
-        let e = if alpha == 2.0 {
-            InverseSquare.attenuation(d2) * ws[j]
+        cands.push(soa, j as usize);
+    }
+    for (p, slot) in points.iter().zip(out.iter_mut()) {
+        let inside =
+            p.x >= cert.min_x && p.x <= cert.max_x && p.y >= cert.min_y && p.y <= cert.max_y;
+        *slot = if !inside {
+            // Outside the certified cell the envelopes say nothing.
+            None
+        } else if cands.idx.is_empty() {
+            // Every station is frozen certified-silent over an ancestor
+            // cell containing `p`: whichever station any backend
+            // selects, its test provably fails there.
+            Some(Located::Silent)
         } else {
-            k_general.attenuation(d2) * ws[j]
+            decider.certify(&cands, *p, cert.frozen_lo, cert.frozen_hi)
         };
-        sum += e;
-        match select {
-            Select::MaxEnergy => {
-                // Strictly-greater keeps the first index on exact
-                // energy ties — the scan kernels' argmax rule.
-                if e > best_e {
-                    best_e = e;
-                    best = j;
-                }
-            }
-            Select::Nearest => {
-                // Strictly-less, first index on exact distance ties —
-                // the kd-tree's documented rule.
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                    best_e = e;
-                    best = j;
-                }
-            }
-        }
-    }
-    match certify_decision(
-        StationId(best),
-        best_e,
-        sum,
-        cert.frozen_lo,
-        cert.frozen_hi,
-        cert.noise,
-        cert.beta,
-    ) {
-        Certified::Answer(a) => Some(a),
-        Certified::Fallback => None,
-    }
-}
-
-/// The tile-pruned `sinr_batch` executor: Morton-ordered tiles (the
-/// locality the per-point path already had) plus a certified
-/// **exact-zero bulk fill** — the one value-level prune that preserves
-/// bit-identity. Unlike reception *decisions*, SINR *values* depend on
-/// the serial kernel's exact summation, so a tile can only be skipped
-/// when every per-point value is provably the same bit pattern: station
-/// `i`'s rounded energy is exactly `+0.0` everywhere in the tile (its
-/// envelope top is `0.0` — monotone rounded `1/d²` arithmetic, so only
-/// claimed for `α = 2`) while the denominator is certifiably positive,
-/// making every quotient exactly `+0.0`. All other tiles evaluate
-/// `exact` per point, so answers are bit-identical to the serial path
-/// for every input.
-///
-/// In the returned [`TileStats`], `pruned_tiles` counts bulk-filled
-/// tiles (their points never ran `exact`), `fallback_points` counts
-/// per-point evaluations, and `candidate_stations` stays 0 (no
-/// candidate gather happens on this path).
-///
-/// # Panics
-///
-/// Panics if `station` is out of range or the slice lengths differ.
-pub fn sinr_batch_tiled<F>(
-    eval: &SinrEvaluator,
-    station: StationId,
-    points: &[Point],
-    out: &mut [f64],
-    cfg: &TileConfig,
-    exact: F,
-) -> TileStats
-where
-    F: Fn(Point) -> f64 + Sync,
-{
-    assert_eq!(
-        points.len(),
-        out.len(),
-        "batch_map: {} points but {} output slots",
-        points.len(),
-        out.len()
-    );
-    let (xs, ys, ws) = eval.soa();
-    let n = xs.len();
-    assert!(station.0 < n, "station {station} out of range");
-    let i = station.0;
-    let alpha = eval.alpha();
-    let noise = eval.noise();
-    let tile = cfg.tile_points.max(1);
-    let order = morton_order(points);
-    let slots = OutputSlots::new(out);
-    let num_tiles = order.len().div_ceil(tile);
-    let pruned_tiles = AtomicU64::new(0);
-    let fallback_points = AtomicU64::new(0);
-    steal_tiles::<(), _>(num_tiles, |t, _scratch| {
-        let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut finite = true;
-        for &k in idxs {
-            let p = points[k as usize];
-            if !(p.x.is_finite() && p.y.is_finite()) {
-                finite = false;
-                break;
-            }
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        // The bulk-zero certificate. Monotonicity of the rounded energy
-        // in the distance holds for the division kernel (`1/d²` and the
-        // product with the power are correctly rounded, hence weakly
-        // monotone); `powf` makes no such promise, so `α ≠ 2` always
-        // takes the per-point path.
-        let mut bulk_zero = false;
-        if finite && alpha == 2.0 {
-            let (d_min_i, d_max_i) = dist2_range_to_box(min_x, min_y, max_x, max_y, xs[i], ys[i]);
-            let (_, hi_i) = energy_envelope(InverseSquare, ws[i], d_min_i, d_max_i, BOUND_MARGIN);
-            if hi_i == 0.0 {
-                // Energy is exactly +0.0 tile-wide; the quotient is
-                // +0.0 iff the denominator is positive. Noise settles
-                // it; otherwise some other station must have a positive
-                // certified energy floor over the tile.
-                bulk_zero = noise > 0.0
-                    || (0..n).any(|j| {
-                        if j == i {
-                            return false;
-                        }
-                        let (_, d_max) =
-                            dist2_range_to_box(min_x, min_y, max_x, max_y, xs[j], ys[j]);
-                        let (lo, _) =
-                            energy_envelope(InverseSquare, ws[j], 1.0, d_max, BOUND_MARGIN);
-                        lo > 0.0
-                    });
-            }
-        }
-        if bulk_zero {
-            pruned_tiles.fetch_add(1, Ordering::Relaxed);
-            for &k in idxs {
-                slots.write(k as usize, 0.0);
-            }
-            return;
-        }
-        fallback_points.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-        for &k in idxs {
-            let p = points[k as usize];
-            let v = exact(p);
-            #[cfg(debug_assertions)]
-            if finite {
-                // Cross-check the value against the cell certificate —
-                // the interval layer and the exact kernels must agree.
-                let cert = cell_certificate(
-                    eval,
-                    Point::new(min_x, min_y),
-                    Point::new(max_x, max_y),
-                    None,
-                );
-                let iv = cert.sinr(station);
-                debug_assert!(
-                    iv.contains(v),
-                    "sinr {v} of {station} at {p} outside certified [{}, {}]",
-                    iv.lo,
-                    iv.hi
-                );
-            }
-            slots.write(k as usize, v);
-        }
-    });
-    TileStats {
-        points: points.len() as u64,
-        tiles: num_tiles as u64,
-        pruned_tiles: pruned_tiles.into_inner(),
-        candidate_stations: 0,
-        fallback_points: fallback_points.into_inner(),
     }
 }
 
@@ -1546,50 +1316,5 @@ mod cert_tests {
         let cert = eval.sinr_bounds_cell(Point::ORIGIN, Point::ORIGIN, None);
         assert_eq!(cert.decision(), CellDecision::Mixed);
         check_cert_sound(&eval, &cert, Point::ORIGIN, Point::ORIGIN);
-    }
-
-    #[test]
-    fn sinr_batch_tiled_bulk_zero_matches_serial() {
-        // One station astronomically far away: its energy rounds to
-        // +0.0 everywhere near the origin, so every tile bulk-fills.
-        let mut pts = vec![Point::new(1e200, 0.0)];
-        for k in 0..160 {
-            let a = k as f64 * std::f64::consts::FRAC_PI_8;
-            pts.push(Point::new(3.0 * a.cos() + 0.01 * k as f64, 3.0 * a.sin()));
-        }
-        let net = Network::uniform(pts, 0.05, 2.0).unwrap();
-        let eval = SinrEvaluator::new(&net);
-        let far = StationId(0);
-        let queries: Vec<Point> = (0..2048)
-            .map(|k| {
-                let x = (k % 64) as f64 * 0.1 - 3.2;
-                let y = (k / 64) as f64 * 0.2 - 3.2;
-                Point::new(x, y)
-            })
-            .collect();
-        let cfg = TileConfig::default();
-        let mut tiled = vec![f64::NAN; queries.len()];
-        let stats = sinr_batch_tiled(&eval, far, &queries, &mut tiled, &cfg, |p| {
-            eval.sinr(far, p)
-        });
-        assert!(stats.pruned_tiles > 0, "no tile took the bulk-zero path");
-        for (k, p) in queries.iter().enumerate() {
-            let serial = eval.sinr(far, *p);
-            assert_eq!(
-                tiled[k].to_bits(),
-                serial.to_bits(),
-                "tiled sinr differs from serial at {p:?}"
-            );
-        }
-        // And a near station (never bulk-fillable) stays bit-identical
-        // through the per-point fallback.
-        let near = StationId(1);
-        let mut tiled_near = vec![f64::NAN; queries.len()];
-        sinr_batch_tiled(&eval, near, &queries, &mut tiled_near, &cfg, |p| {
-            eval.sinr(near, p)
-        });
-        for (k, p) in queries.iter().enumerate() {
-            assert_eq!(tiled_near[k].to_bits(), eval.sinr(near, *p).to_bits());
-        }
     }
 }

@@ -18,7 +18,12 @@
 //!   stats prove the pruned path ran (candidate sets strictly smaller
 //!   than the network);
 //! * non-finite query points take the wholesale-fallback tile and still
-//!   match the serial path.
+//!   match the serial path;
+//! * the nearest-station rule matches the kd-tree, tiled and through
+//!   `locate_in_cell`, including at a hostile exact energy tie under
+//!   `β < 1`;
+//! * every `sinr_batch` value lies inside the cell certificate of its
+//!   Morton tile's bounding box.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -67,6 +72,16 @@ fn query_batch(net: &Network, len: usize, seed: u64) -> Vec<Point> {
     }
     pts.truncate(len);
     pts
+}
+
+/// The `(min, max)` corners of a non-empty point set.
+fn bounding_box(points: &[Point]) -> (Point, Point) {
+    points.iter().fold((points[0], points[0]), |(min, max), p| {
+        (
+            Point::new(min.x.min(p.x), min.y.min(p.y)),
+            Point::new(max.x.max(p.x), max.y.max(p.y)),
+        )
+    })
 }
 
 fn assert_tiled_equals_serial<E: QueryEngine>(name: &str, engine: &E, points: &[Point]) {
@@ -157,33 +172,76 @@ fn locate_batch_is_permutation_invariant_for_every_backend_and_kernel() {
     }
 }
 
+/// A network with one station astronomically far away (its energy
+/// rounds to `+0.0` everywhere near the origin) and a 2048-point grid
+/// around the others.
+fn far_station_case() -> (Network, Vec<Point>) {
+    let mut pts = vec![Point::new(1e200, 0.0)];
+    for k in 0..160 {
+        let a = k as f64 * std::f64::consts::FRAC_PI_8;
+        pts.push(Point::new(3.0 * a.cos() + 0.01 * k as f64, 3.0 * a.sin()));
+    }
+    let queries = (0..2048)
+        .map(|k| {
+            let x = (k % 64) as f64 * 0.1 - 3.2;
+            let y = (k / 64) as f64 * 0.2 - 3.2;
+            Point::new(x, y)
+        })
+        .collect();
+    (Network::uniform(pts, 0.05, 2.0).unwrap(), queries)
+}
+
 #[test]
 fn sinr_batch_is_permutation_invariant_bit_for_bit() {
     let net = big_network(41, TILED_MIN_STATIONS + 16, true);
     let points = query_batch(&net, PARALLEL_BATCH_THRESHOLD + 100, 0xCAFE);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    let mut perm: Vec<usize> = (0..points.len()).collect();
-    for i in (1..perm.len()).rev() {
-        perm.swap(i, rng.gen_range(0..=i));
-    }
-    let shuffled: Vec<Point> = perm.iter().map(|&i| points[i]).collect();
-    let eval = SinrEvaluator::new(&net);
-    let station = StationId(3);
-    let mut base = vec![0.0f64; points.len()];
-    eval.sinr_batch(station, &points, &mut base);
-    let mut shuf = vec![0.0f64; points.len()];
-    eval.sinr_batch(station, &shuffled, &mut shuf);
-    for (slot, &orig) in perm.iter().enumerate() {
-        assert_eq!(
-            shuf[slot].to_bits(),
-            base[orig].to_bits(),
-            "sinr value for point {orig} changed under reordering"
-        );
-        // And bit-identical to the serial call.
-        assert_eq!(
-            base[orig].to_bits(),
-            eval.sinr(station, points[orig]).to_bits()
-        );
+    let (far_net, far_points) = far_station_case();
+    for (net, points, station) in [
+        (&net, &points, StationId(3)),
+        (&far_net, &far_points, StationId(0)),
+        (&far_net, &far_points, StationId(1)),
+    ] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let mut perm: Vec<usize> = (0..points.len()).collect();
+        for i in (1..perm.len()).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        let shuffled: Vec<Point> = perm.iter().map(|&i| points[i]).collect();
+        let eval = SinrEvaluator::new(net);
+        let mut base = vec![0.0f64; points.len()];
+        eval.sinr_batch(station, points, &mut base);
+        let mut shuf = vec![0.0f64; points.len()];
+        eval.sinr_batch(station, &shuffled, &mut shuf);
+        for (slot, &orig) in perm.iter().enumerate() {
+            assert_eq!(
+                shuf[slot].to_bits(),
+                base[orig].to_bits(),
+                "sinr value for point {orig} changed under reordering"
+            );
+            // And bit-identical to the serial call.
+            assert_eq!(
+                base[orig].to_bits(),
+                eval.sinr(station, points[orig]).to_bits()
+            );
+        }
+        // Every value lies inside the cell certificate of its Morton
+        // tile's bounding box: the interval layer and the exact kernels
+        // must agree.
+        let order = tile::morton_order(points);
+        for idxs in order.chunks(TileConfig::default().tile_points) {
+            let tile: Vec<Point> = idxs.iter().map(|&i| points[i as usize]).collect();
+            let (min, max) = bounding_box(&tile);
+            let iv = eval.sinr_bounds_cell(min, max, None).sinr(station);
+            for &i in idxs {
+                let (p, v) = (points[i as usize], base[i as usize]);
+                assert!(
+                    iv.contains(v),
+                    "sinr {v} of {station} at {p} outside certified [{}, {}]",
+                    iv.lo,
+                    iv.hi
+                );
+            }
+        }
     }
 }
 
@@ -230,31 +288,67 @@ fn direct_executor_matches_serial_under_custom_configs() {
     }
 }
 
+/// A hostile exact tie under `β = 0.5`: from the origin, station `A`
+/// lies one ulp of squared distance nearer than station `B`, yet `1/d²`
+/// rounds to the same energy for both, so both pass the reception test
+/// there. `B` sits at the smaller index, so the first-index argmax names
+/// `B` while the kd-tree names `A`. The other stations are far away.
+fn hostile_tie_case() -> (Network, Vec<Point>) {
+    let b = Point::new(0.6998643962544917, -1.1870441553945856);
+    let a = Point::new(-0.9534461862073409, 0.9948991758001339);
+    let (da, db) = (a.x * a.x + a.y * a.y, b.x * b.x + b.y * b.y);
+    assert!(da < db && 1.0 / da == 1.0 / db, "fixture lost its tie");
+    let mut stations = vec![b, a];
+    for k in 0..14 {
+        let t = k as f64 * std::f64::consts::TAU / 14.0;
+        stations.push(Point::new(1000.0 * t.cos(), 1000.0 * t.sin()));
+    }
+    let queries = (0..49)
+        .map(|k| Point::new((k % 7) as f64 * 0.01 - 0.03, (k / 7) as f64 * 0.01 - 0.03))
+        .collect();
+    (Network::uniform(stations, 0.01, 0.5).unwrap(), queries)
+}
+
 /// Nearest-mode certification against the kd-tree serial path, driven
-/// directly (uniform power only — the Observation-2.2 precondition).
+/// directly (uniform power only — the Observation-2.2 precondition),
+/// plus `locate_in_cell` under a certificate of the batch's bounding
+/// box.
 #[test]
 fn direct_executor_nearest_matches_tree_path() {
     let net = big_network(61, 256, true);
-    let engine = VoronoiAssisted::new(&net);
-    let eval = SinrEvaluator::new(&net);
     let points = query_batch(&net, 3000, 0xF00);
-    let cfg = TileConfig {
-        tile_points: 128,
-        min_stations: 2,
-        min_points: 1,
-    };
-    let mut out = vec![Located::Silent; points.len()];
-    tile::locate_batch_tiled(
-        &eval,
-        SimdKernel::detect(),
-        Select::Nearest,
-        &points,
-        &mut out,
-        &cfg,
-        |p| engine.locate(p),
-    );
-    for (p, got) in points.iter().zip(&out) {
-        assert_eq!(*got, engine.locate(*p), "nearest-mode mismatch at {p}");
+    for (net, points) in [(net, points), hostile_tie_case()] {
+        let engine = VoronoiAssisted::new(&net);
+        let eval = SinrEvaluator::new(&net);
+        let cfg = TileConfig {
+            tile_points: 128,
+            min_stations: 2,
+            min_points: 1,
+        };
+        let mut out = vec![Located::Silent; points.len()];
+        tile::locate_batch_tiled(
+            &eval,
+            SimdKernel::detect(),
+            Select::Nearest,
+            &points,
+            &mut out,
+            &cfg,
+            |p| engine.locate(p),
+        );
+        for (p, got) in points.iter().zip(&out) {
+            assert_eq!(*got, engine.locate(*p), "nearest-mode mismatch at {p}");
+        }
+        let (min, max) = bounding_box(&points);
+        let cert = engine
+            .sinr_bounds_cell(min, max, None)
+            .expect("VoronoiAssisted certifies cells");
+        let mut in_cell = vec![None; points.len()];
+        assert!(engine.locate_in_cell(&cert, &points, &mut in_cell));
+        for (p, got) in points.iter().zip(&in_cell) {
+            if let Some(got) = got {
+                assert_eq!(*got, engine.locate(*p), "locate_in_cell mismatch at {p}");
+            }
+        }
     }
 }
 
