@@ -35,16 +35,16 @@
 //!   tile, *exactly* as tight as recomputing from scratch (the envelope
 //!   is linear in the power), rather than widening a shared envelope by
 //!   per-tile gain bounds;
-//! * candidate pruning, the SIMD candidate scans
-//!   ([`crate::simd::scan_slices`] — the same kernels as
-//!   `locate_batch`), and the certified reception test at both ends of
-//!   the residual interval run per trial on the scaled columns, with
-//!   the backend's own serial kernel (on the scaled evaluator) as the
-//!   uncertifiable-point fallback. Certified decisions agree with
-//!   *every* summation order by the [`crate::tile::TOTAL_MARGIN`]
-//!   contract, so each trial's reception bit is bit-identical to what
-//!   the backend's deterministic `locate` would answer on the scaled
-//!   network.
+//! * candidate pruning, the SIMD candidate scans and the certified
+//!   reception test at both ends of the residual interval run per trial
+//!   on the scaled columns through the same per-tile pass as
+//!   [`crate::tile::locate_batch_tiled`] (see the [`crate::tile`]
+//!   pipeline), with the backend's own serial kernel (on the scaled
+//!   evaluator) as the uncertifiable-point fallback. Certified
+//!   decisions agree with *every* summation order by the
+//!   [`crate::tile::TOTAL_MARGIN`] contract, so each trial's reception
+//!   bit is bit-identical to what the backend's deterministic `locate`
+//!   would answer on the scaled network.
 //!
 //! Trials are the work-stealing units (the same scheduler as every other
 //! batch path, [`crate::tile`]'s tile stealer), each worker owning one
@@ -86,11 +86,12 @@
 //! strategy — the certified-pruning argument above quantifies over all
 //! implemented models, so downstream crates must not add their own.
 
-use crate::bounds::{dist2_range_to_box, energy_envelope};
-use crate::engine::{GeneralAlpha, InverseSquare, LocateError, Located, SinrEvaluator, BATCH_TILE};
-use crate::simd::{self, SimdKernel};
+use crate::engine::{LocateError, Located, SinrEvaluator, BATCH_TILE};
+use crate::simd::SimdKernel;
 use crate::station::StationId;
-use crate::tile::{morton_order, receives_at_total, steal_tiles, BOUND_MARGIN, TOTAL_MARGIN};
+use crate::tile::{
+    morton_order, steal_tiles, tile_box, BoxEnvelope, Decider, Scratch, Select, TILED_MIN_STATIONS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sinr_geometry::Point;
@@ -357,102 +358,55 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 
 /// One `Exp(1)` variate (the unit-mean Rayleigh *power* gain) via
 /// inversion; `1 − u ∈ (0, 1]` keeps the log finite (an exact 0.0 gain
-/// is possible and handled by the executor's envelope guard).
+/// is possible: the tile pass widens the `∞ · 0` envelope it makes).
 fn unit_exponential(rng: &mut StdRng) -> f64 {
     -(1.0 - rng.gen_range(0.0..1.0)).ln()
 }
 
 /// Per-tile once-per-batch state of the Monte-Carlo executor: the tile's
 /// index range in the Morton order and each station's *unit-power*
-/// attenuation envelope over the tile box. Scaling by the trial's
-/// effective powers recovers exactly the envelope
+/// attenuation envelope `(att_lo, att_hi)` over the tile box. Scaling by
+/// the trial's effective powers recovers exactly the envelope
 /// [`crate::tile::locate_batch_tiled`] would compute from scratch.
 struct TilePrep {
     start: usize,
     end: usize,
-    /// False when the tile contains a non-finite query point — every
+    /// `None` when the tile contains a non-finite query point — every
     /// trial runs such tiles through the serial kernel wholesale.
-    finite: bool,
-    att_lo: Vec<f64>,
-    att_hi: Vec<f64>,
+    att: Option<Vec<(f64, f64)>>,
 }
 
 /// Builds the Morton order and the per-tile unit-power envelopes — the
 /// trial-invariant half of the tiled pipeline, computed once per batch.
 fn prepare_tiles(eval: &SinrEvaluator, points: &[Point]) -> (Vec<u32>, Vec<TilePrep>) {
     let order = morton_order(points);
-    let tile = BATCH_TILE;
-    let num_tiles = order.len().div_ceil(tile);
     let (xs, ys, _) = eval.soa();
-    let n = xs.len();
-    let alpha = eval.alpha();
-    let k_general = GeneralAlpha::new(alpha);
-    let mut preps = Vec::with_capacity(num_tiles);
-    for t in 0..num_tiles {
-        let start = t * tile;
-        let end = ((t + 1) * tile).min(order.len());
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut finite = true;
-        for &i in &order[start..end] {
-            let p = points[i as usize];
-            if !(p.x.is_finite() && p.y.is_finite()) {
-                finite = false;
-                break;
-            }
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        if !finite {
-            preps.push(TilePrep {
-                start,
-                end,
-                finite: false,
-                att_lo: Vec::new(),
-                att_hi: Vec::new(),
+    let preps = (0..order.len().div_ceil(BATCH_TILE))
+        .map(|t| {
+            let start = t * BATCH_TILE;
+            let end = ((t + 1) * BATCH_TILE).min(order.len());
+            let att = tile_box(points, &order[start..end]).map(|bbox| {
+                let env = BoxEnvelope::new(eval.alpha(), bbox);
+                xs.iter()
+                    .zip(ys)
+                    .map(|(&x, &y)| env.station(x, y, 1.0))
+                    .collect()
             });
-            continue;
-        }
-        let mut att_lo = Vec::with_capacity(n);
-        let mut att_hi = Vec::with_capacity(n);
-        for j in 0..n {
-            let (d_min, d_max) = dist2_range_to_box(min_x, min_y, max_x, max_y, xs[j], ys[j]);
-            let (lo, hi) = if alpha == 2.0 {
-                energy_envelope(InverseSquare, 1.0, d_min, d_max, BOUND_MARGIN)
-            } else {
-                energy_envelope(k_general, 1.0, d_min, d_max, BOUND_MARGIN)
-            };
-            att_lo.push(lo);
-            att_hi.push(hi);
-        }
-        preps.push(TilePrep {
-            start,
-            end,
-            finite: true,
-            att_lo,
-            att_hi,
-        });
-    }
+            TilePrep { start, end, att }
+        })
+        .collect();
     (order, preps)
 }
 
 /// Per-worker scratch of the Monte-Carlo executor: the lazily-cloned
-/// scaled evaluator (one clone per worker for the whole run) plus the
-/// per-trial gain and envelope/candidate columns, reused across trials.
+/// scaled evaluator (one clone per worker for the whole run), the
+/// per-trial gain column and the tile pass's scratch, reused across
+/// trials.
 #[derive(Default)]
 struct McScratch {
     scaled: Option<SinrEvaluator>,
     gains: Vec<f64>,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    cxs: Vec<f64>,
-    cys: Vec<f64>,
-    cws: Vec<f64>,
-    cidx: Vec<u32>,
+    tile: Scratch,
 }
 
 /// The shared Monte-Carlo reception-probability executor behind every
@@ -536,130 +490,57 @@ fn mc_reception_counts<F>(
 where
     F: Fn(&SinrEvaluator, Point) -> Located + Sync,
 {
-    let (xs, ys, ws) = eval.soa();
-    let n = xs.len();
-    let alpha = eval.alpha();
-    let noise = eval.noise();
-    let beta = eval.beta();
+    let (_, _, ws) = eval.soa();
+    let n = ws.len();
     // Tiling pays off whenever the network is large enough to prune,
     // regardless of batch length — the per-batch prep is amortized over
     // every trial, unlike the single-shot `locate_batch` heuristic.
-    let tiled = n >= crate::tile::TILED_MIN_STATIONS;
-    let (order, preps) = if tiled {
+    // Smaller networks run the whole batch as one serial span.
+    let (order, preps) = if n >= TILED_MIN_STATIONS {
         prepare_tiles(eval, points)
     } else {
-        (Vec::new(), Vec::new())
+        let span = TilePrep {
+            start: 0,
+            end: points.len(),
+            att: None,
+        };
+        ((0..points.len() as u32).collect(), vec![span])
     };
+    let decider = Decider::new(eval, kernel, Select::MaxEnergy);
     let counts: Vec<AtomicU32> = points.iter().map(|_| AtomicU32::new(0)).collect();
     steal_tiles::<McScratch, _>(trials as usize, |t, scratch| {
         let McScratch {
             scaled,
             gains,
-            lb,
-            ub,
-            cxs,
-            cys,
-            cws,
-            cidx,
+            tile,
         } = scratch;
         let scaled = scaled.get_or_insert_with(|| eval.clone());
         gains.resize(n, 1.0);
         model.gains_for_trial(seed, t as u32, gains);
         scaled.set_scaled_powers(ws, gains);
-        if !tiled {
-            for (i, &p) in points.iter().enumerate() {
-                if serial(scaled, p).station().is_some() {
-                    counts[i].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            return;
-        }
-        let (_, _, sws) = scaled.soa();
+        let scaled: &SinrEvaluator = scaled;
+        let soa = scaled.soa();
+        let sws = soa.2;
         for prep in &preps {
+            // The cached unit-power envelopes scaled by this trial's
+            // effective powers.
+            let resid = prep
+                .att
+                .as_ref()
+                .and_then(|att| tile.prune(soa, |j| (att[j].0 * sws[j], att[j].1 * sws[j])));
             let idxs = &order[prep.start..prep.end];
-            if !prep.finite {
-                for &i in idxs {
-                    if serial(scaled, points[i as usize]).station().is_some() {
-                        counts[i as usize].fetch_add(1, Ordering::Relaxed);
+            tile.answer_tile(
+                &decider,
+                resid,
+                points,
+                idxs,
+                |p| serial(scaled, p),
+                |i, answer| {
+                    if answer.station().is_some() {
+                        counts[i].fetch_add(1, Ordering::Relaxed);
                     }
-                }
-                continue;
-            }
-            // Scale the cached unit-power envelopes by this trial's
-            // effective powers and find the best envelope bottom M.
-            lb.clear();
-            ub.clear();
-            let mut m = f64::NEG_INFINITY;
-            for ((&w, &att_lo), &att_hi) in sws.iter().zip(&prep.att_lo).zip(&prep.att_hi) {
-                let mut lo = att_lo * w;
-                let mut hi = att_hi * w;
-                // `∞ · 0` (a station inside the tile box whose trial
-                // gain underflowed to 0) is NaN; widen to the trivial
-                // envelope so the station stays a candidate and the
-                // pruning certificate stays sound.
-                if lo.is_nan() || hi.is_nan() {
-                    lo = 0.0;
-                    hi = f64::INFINITY;
-                }
-                lb.push(lo);
-                ub.push(hi);
-                if lo > m {
-                    m = lo;
-                }
-            }
-            // Gather surviving candidates (ascending index — ties in the
-            // argmax resolve exactly as the full scan), accumulating the
-            // pruned stations' certified residual interval.
-            cxs.clear();
-            cys.clear();
-            cws.clear();
-            cidx.clear();
-            let mut resid_lo = 0.0;
-            let mut resid_hi = 0.0;
-            for j in 0..n {
-                if ub[j] >= m {
-                    cidx.push(j as u32);
-                    cxs.push(xs[j]);
-                    cys.push(ys[j]);
-                    cws.push(sws[j]);
-                } else {
-                    resid_lo += lb[j];
-                    resid_hi += ub[j];
-                }
-            }
-            if cidx.len() * 8 >= n * 7 {
-                // Pruning didn't drop ≳ 1/8 of the stations — the full
-                // serial scan is cheaper than the candidate machinery.
-                for &i in idxs {
-                    if serial(scaled, points[i as usize]).station().is_some() {
-                        counts[i as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                continue;
-            }
-            for &i in idxs {
-                let p = points[i as usize];
-                let received = match simd::scan_slices(kernel, alpha, cxs, cys, cws, p) {
-                    // The point coincides with a station: reception by
-                    // the `{sᵢ}` clause (coincident stations are always
-                    // candidates — their envelope top is +∞).
-                    Err(_) => true,
-                    Ok(scan) => {
-                        let hi_total = (scan.total + resid_hi) * (1.0 + TOTAL_MARGIN);
-                        let lo_total = (scan.total + resid_lo) * (1.0 - TOTAL_MARGIN);
-                        if receives_at_total(scan.best_energy, hi_total, noise, beta) {
-                            true
-                        } else if !receives_at_total(scan.best_energy, lo_total, noise, beta) {
-                            false
-                        } else {
-                            serial(scaled, p).station().is_some()
-                        }
-                    }
-                };
-                if received {
-                    counts[i as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
+                },
+            );
         }
     });
     counts.into_iter().map(AtomicU32::into_inner).collect()

@@ -28,7 +28,9 @@
 //!    never be the strongest station for any point of the tile and are
 //!    dropped from the per-point scan. Their interference is not
 //!    dropped — it is carried as a certified residual interval
-//!    `[L_R, U_R]` (the sums of the pruned envelopes).
+//!    `[L_R, U_R]` (the sums of the pruned envelopes). A tile whose
+//!    pruning keeps at least 7/8 of the
+//!    stations runs the serial kernel instead (`SERIAL_KEEP_EIGHTHS`).
 //! 3. **Certified per-point decision** — each point scans only the
 //!    gathered candidate columns (through the same SIMD kernels as the
 //!    full scans — AVX-512/AVX2/SSE2/portable). Per-station energies are
@@ -41,6 +43,14 @@
 //!    (the point sits within the interval's width of the `SINR = β`
 //!    boundary), the point **falls back to the backend's own serial
 //!    kernel** — never an approximate answer.
+//!
+//! Steps 2 and 3 are one crate-private per-tile pass (`tile_box`,
+//! `BoxEnvelope`, `Scratch::prune`, `Scratch::answer_tile`) with two
+//! callers: [`locate_batch_tiled`], which envelopes every tile afresh,
+//! and the Monte-Carlo executor behind
+//! [`QueryEngine::reception_probability_batch`](crate::engine::QueryEngine::reception_probability_batch)
+//! ([`crate::channel`]), which caches each tile's unit-power envelopes
+//! once per batch and scales them by every trial's powers.
 //!
 //! ## The correctness contract
 //!
@@ -85,6 +95,11 @@ pub const TOTAL_MARGIN: f64 = 1e-8;
 /// default config: the full scan is already a few dozen nanoseconds, so
 /// Morton sorting and per-tile envelopes would cost more than they save.
 pub const TILED_MIN_STATIONS: usize = 128;
+
+/// A tile whose pruning keeps at least this many eighths of the
+/// stations runs the serial kernel: the gather and the certification
+/// cannot pay for themselves when pruning drops less than ~1/8.
+const SERIAL_KEEP_EIGHTHS: usize = 7;
 
 /// Tuning knobs of the tiled executor.
 ///
@@ -289,8 +304,10 @@ fn grid_scale(min: f64, max: f64) -> f64 {
 /// also accumulate results in them.
 ///
 /// This is the **one** work-stealing scheduler of the workspace:
-/// [`crate::engine::batch_map`]'s parallel branch, both tiled executors
-/// here and the quadtree refinement of `sinr-diagram` run through it,
+/// [`crate::engine::batch_map`]'s parallel branch, [`batch_map_morton`],
+/// [`locate_batch_tiled`], the Monte-Carlo executor of
+/// [`crate::channel`] (trials as the units) and the quadtree refinement
+/// of `sinr-diagram` run through it,
 /// so the worker-count clamp and the `fetch_add` claim protocol (which
 /// the `OutputSlots` soundness argument leans on) exist in exactly one
 /// place. Every tile index is claimed exactly once.
@@ -354,7 +371,7 @@ where
     assert_eq!(
         points.len(),
         out.len(),
-        "batch_map: {} points but {} output slots",
+        "batch_map_morton: {} points but {} output slots",
         points.len(),
         out.len()
     );
@@ -415,13 +432,146 @@ impl Candidates {
     }
 }
 
-/// Per-worker scratch of the pruned executor: the per-station envelope
-/// columns and the gathered candidates, reused across tiles.
+/// The bounding box `(min, max)` of the tile's points `points[idxs]`,
+/// or `None` when one of them is not finite — such a point poisons
+/// every envelope, so the tile runs the serial kernel wholesale.
+pub(crate) fn tile_box(points: &[Point], idxs: &[u32]) -> Option<(Point, Point)> {
+    let mut min = Point::new(f64::INFINITY, f64::INFINITY);
+    let mut max = Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for &i in idxs {
+        let p = points[i as usize];
+        if !(p.x.is_finite() && p.y.is_finite()) {
+            return None;
+        }
+        min = Point::new(min.x.min(p.x), min.y.min(p.y));
+        max = Point::new(max.x.max(p.x), max.y.max(p.y));
+    }
+    Some((min, max))
+}
+
+/// Certified per-station energy envelopes over one box: the
+/// [`energy_envelope`] of each station's squared-distance range to the
+/// box, widened by [`BOUND_MARGIN`], with the `α = 2` fast path.
+#[derive(Clone, Copy)]
+pub(crate) struct BoxEnvelope {
+    min: Point,
+    max: Point,
+    alpha: f64,
+    general: GeneralAlpha,
+}
+
+impl BoxEnvelope {
+    pub(crate) fn new(alpha: f64, (min, max): (Point, Point)) -> Self {
+        BoxEnvelope {
+            min,
+            max,
+            alpha,
+            general: GeneralAlpha::new(alpha),
+        }
+    }
+
+    /// The envelope `(lo, hi)` of a station at `(x, y)` with power `w`.
+    #[inline]
+    pub(crate) fn station(&self, x: f64, y: f64, w: f64) -> (f64, f64) {
+        let (d_min, d_max) =
+            dist2_range_to_box(self.min.x, self.min.y, self.max.x, self.max.y, x, y);
+        if self.alpha == 2.0 {
+            energy_envelope(InverseSquare, w, d_min, d_max, BOUND_MARGIN)
+        } else {
+            energy_envelope(self.general, w, d_min, d_max, BOUND_MARGIN)
+        }
+    }
+}
+
+/// Widens a NaN envelope (`∞ · 0` for a zero-power station inside the
+/// box, or non-finite station coordinates) to the trivial `(0, ∞)`: the
+/// station can then never be pruned, frozen or certified.
+#[inline]
+fn widen_nan((lo, hi): (f64, f64)) -> (f64, f64) {
+    if lo.is_nan() || hi.is_nan() {
+        (0.0, f64::INFINITY)
+    } else {
+        (lo, hi)
+    }
+}
+
+/// Per-worker scratch of the box-pruned executors: the per-station
+/// envelope columns and the gathered candidates, reused across tiles.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     lb: Vec<f64>,
     ub: Vec<f64>,
     cands: Candidates,
+}
+
+impl Scratch {
+    /// Prunes one tile: `envelope(j)` is station `j`'s certified energy
+    /// envelope over the tile box (NaN widens to `(0, ∞)`). Stations
+    /// whose top is below the best bottom `M` are provably never the
+    /// strongest in the tile; the rest are gathered from `soa` (the
+    /// evaluator's columns the kernels scan) as the candidates. Returns
+    /// the pruned stations' residual interval `(resid_lo, resid_hi)`, or
+    /// `None` — run the serial kernel — when at least
+    /// [`SERIAL_KEEP_EIGHTHS`] eighths of the stations survive.
+    pub(crate) fn prune(
+        &mut self,
+        soa: (&[f64], &[f64], &[f64]),
+        envelope: impl Fn(usize) -> (f64, f64),
+    ) -> Option<(f64, f64)> {
+        let n = soa.0.len();
+        self.lb.clear();
+        self.ub.clear();
+        let mut m = f64::NEG_INFINITY;
+        for j in 0..n {
+            let (lo, hi) = widen_nan(envelope(j));
+            self.lb.push(lo);
+            self.ub.push(hi);
+            if lo > m {
+                m = lo;
+            }
+        }
+        self.cands.clear();
+        let mut resid_lo = 0.0f64;
+        let mut resid_hi = 0.0f64;
+        for j in 0..n {
+            if self.ub[j] >= m {
+                self.cands.push(soa, j);
+            } else {
+                resid_lo += self.lb[j];
+                resid_hi += self.ub[j];
+            }
+        }
+        (self.cands.idx.len() * 8 < n * SERIAL_KEEP_EIGHTHS).then_some((resid_lo, resid_hi))
+    }
+
+    /// Answers every point `points[i]`, `i ∈ idxs`, of one tile through
+    /// `emit(i, answer)`: with `resid` (the tile's [`Scratch::prune`]
+    /// result) by the certified decision over the gathered candidates,
+    /// else — and wherever that decision is inconclusive — by
+    /// `fallback`. Returns the number of inconclusive points.
+    pub(crate) fn answer_tile(
+        &self,
+        decider: &Decider,
+        resid: Option<(f64, f64)>,
+        points: &[Point],
+        idxs: &[u32],
+        fallback: impl Fn(Point) -> Located,
+        mut emit: impl FnMut(usize, Located),
+    ) -> u64 {
+        let mut inconclusive = 0u64;
+        for &i in idxs {
+            let p = points[i as usize];
+            let answer = match resid {
+                Some((lo, hi)) => decider.certify(&self.cands, p, lo, hi).unwrap_or_else(|| {
+                    inconclusive += 1;
+                    fallback(p)
+                }),
+                None => fallback(p),
+            };
+            emit(i as usize, answer);
+        }
+        inconclusive
+    }
 }
 
 /// The reception test of [`SinrEvaluator::decide`] evaluated at an
@@ -431,7 +581,7 @@ struct Scratch {
 /// top certifies reception at the kernel's true total, non-reception at
 /// the bottom certifies silence.
 #[inline]
-pub(crate) fn receives_at_total(best_e: f64, total: f64, noise: f64, beta: f64) -> bool {
+fn receives_at_total(best_e: f64, total: f64, noise: f64, beta: f64) -> bool {
     let interference_plus_noise = (total - best_e) + noise;
     interference_plus_noise <= 0.0 || best_e >= beta * interference_plus_noise
 }
@@ -441,7 +591,7 @@ pub(crate) fn receives_at_total(best_e: f64, total: f64, noise: f64, beta: f64) 
 /// certified reception may be answered at all (the `β < 1` guard of
 /// [`Select::Nearest`]).
 #[derive(Clone, Copy)]
-struct Decider {
+pub(crate) struct Decider {
     kernel: SimdKernel,
     alpha: f64,
     noise: f64,
@@ -450,7 +600,7 @@ struct Decider {
 }
 
 impl Decider {
-    fn new(eval: &SinrEvaluator, kernel: SimdKernel, select: Select) -> Self {
+    pub(crate) fn new(eval: &SinrEvaluator, kernel: SimdKernel, select: Select) -> Self {
         debug_assert!(
             select == Select::MaxEnergy || eval.is_uniform_power(),
             "Select::Nearest requires uniform power (Observation 2.2)"
@@ -470,8 +620,10 @@ impl Decider {
     /// the total-energy interval `[S_C + resid_lo, S_C + resid_hi]`
     /// widened by [`TOTAL_MARGIN`]. `None` when the ends disagree — the
     /// point sits within the interval's width of the `β` boundary — or
-    /// when the `β < 1` guard declines a reception.
-    #[inline]
+    /// when the `β < 1` guard declines a reception. Always inlined: its
+    /// callers run it per point, and `locate_in_cell`'s short candidate
+    /// lists make an out-of-line call a measurable share of its cost.
+    #[inline(always)]
     fn certify(&self, c: &Candidates, p: Point, resid_lo: f64, resid_hi: f64) -> Option<Located> {
         let scan = match simd::scan_slices(self.kernel, self.alpha, &c.xs, &c.ys, &c.ws, p) {
             // Coincident stations always survive pruning (their envelope
@@ -532,7 +684,7 @@ where
     assert_eq!(
         points.len(),
         out.len(),
-        "batch_map: {} points but {} output slots",
+        "locate_batch_tiled: {} points but {} output slots",
         points.len(),
         out.len()
     );
@@ -543,94 +695,26 @@ where
     let num_tiles = order.len().div_ceil(tile);
     let soa = eval.soa();
     let (xs, ys, ws) = soa;
-    let n = xs.len();
     let alpha = eval.alpha();
     let pruned_tiles = AtomicU64::new(0);
     let candidate_stations = AtomicU64::new(0);
     let fallback_points = AtomicU64::new(0);
     steal_tiles::<Scratch, _>(num_tiles, |t, scratch| {
         let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
-        // Tile bounding box; a non-finite point poisons every envelope,
-        // so such tiles run the serial kernel wholesale.
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut finite = true;
-        for &i in idxs {
-            let p = points[i as usize];
-            if !(p.x.is_finite() && p.y.is_finite()) {
-                finite = false;
-                break;
-            }
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
+        let resid = tile_box(points, idxs).and_then(|bbox| {
+            let env = BoxEnvelope::new(alpha, bbox);
+            scratch.prune(soa, |j| env.station(xs[j], ys[j], ws[j]))
+        });
+        if resid.is_some() {
+            pruned_tiles.fetch_add(1, Ordering::Relaxed);
+            candidate_stations.fetch_add(scratch.cands.idx.len() as u64, Ordering::Relaxed);
         }
-        if !finite {
-            for &i in idxs {
-                slots.write(i as usize, fallback(points[i as usize]));
-            }
-            return;
-        }
-        // Certified per-station energy envelopes over the tile box, and
-        // the best envelope bottom M: a station whose top is below M is
-        // provably never the strongest anywhere in the tile.
-        scratch.lb.clear();
-        scratch.ub.clear();
-        let mut m = f64::NEG_INFINITY;
-        let k_general = GeneralAlpha::new(alpha);
-        for j in 0..n {
-            let (d_min, d_max) = dist2_range_to_box(min_x, min_y, max_x, max_y, xs[j], ys[j]);
-            let (lo, hi) = if alpha == 2.0 {
-                energy_envelope(InverseSquare, ws[j], d_min, d_max, BOUND_MARGIN)
-            } else {
-                energy_envelope(k_general, ws[j], d_min, d_max, BOUND_MARGIN)
-            };
-            scratch.lb.push(lo);
-            scratch.ub.push(hi);
-            if lo > m {
-                m = lo;
-            }
-        }
-        // Candidate gather and the residual interference interval over
-        // the pruned stations.
-        scratch.cands.clear();
-        let mut resid_lo = 0.0f64;
-        let mut resid_hi = 0.0f64;
-        for j in 0..n {
-            if scratch.ub[j] >= m {
-                scratch.cands.push(soa, j);
-            } else {
-                resid_lo += scratch.lb[j];
-                resid_hi += scratch.ub[j];
-            }
-        }
-        let n_c = scratch.cands.idx.len();
-        // Pruning that keeps ~everything cannot pay for the gather and
-        // the certification: run the serial kernel directly.
-        if n_c * 8 >= n * 7 {
-            for &i in idxs {
-                slots.write(i as usize, fallback(points[i as usize]));
-            }
-            return;
-        }
-        pruned_tiles.fetch_add(1, Ordering::Relaxed);
-        candidate_stations.fetch_add(n_c as u64, Ordering::Relaxed);
-        let mut tile_fallbacks = 0u64;
-        for &i in idxs {
-            let p = points[i as usize];
-            let answer = decider
-                .certify(&scratch.cands, p, resid_lo, resid_hi)
-                .unwrap_or_else(|| {
-                    tile_fallbacks += 1;
-                    fallback(p)
-                });
-            slots.write(i as usize, answer);
-        }
-        if tile_fallbacks > 0 {
-            fallback_points.fetch_add(tile_fallbacks, Ordering::Relaxed);
+        let inconclusive =
+            scratch.answer_tile(&decider, resid, points, idxs, &fallback, |i, answer| {
+                slots.write(i, answer)
+            });
+        if inconclusive > 0 {
+            fallback_points.fetch_add(inconclusive, Ordering::Relaxed);
         }
     });
     TileStats {
@@ -713,6 +797,40 @@ pub enum CellDecision {
     Mixed,
 }
 
+/// Finite-part envelope totals over **all** stations of a cell, and the
+/// counts of infinite envelope ends excluded from them.
+#[derive(Debug, Clone, Copy)]
+struct Totals {
+    sum_lo: f64,
+    sum_hi: f64,
+    inf_lo: u32,
+    inf_hi: u32,
+}
+
+impl Totals {
+    /// Leave-one-out interference bracket for a station with energy
+    /// envelope `(elo, ehi)`: totals minus the station's own ends, with
+    /// infinity bookkeeping (an `∞` end elsewhere forces that side to
+    /// `∞`) and [`SUM_SLACK`] widening against cancellation.
+    fn leave_one_out(&self, elo: f64, ehi: f64) -> (f64, f64) {
+        let inf_lo_others = self.inf_lo - u32::from(elo == f64::INFINITY);
+        let lo = if inf_lo_others > 0 {
+            f64::INFINITY
+        } else {
+            let own = if elo.is_finite() { elo } else { 0.0 };
+            ((self.sum_lo - own) - SUM_SLACK * self.sum_lo).max(0.0)
+        };
+        let inf_hi_others = self.inf_hi - u32::from(ehi == f64::INFINITY);
+        let hi = if inf_hi_others > 0 {
+            f64::INFINITY
+        } else {
+            let own = if ehi.is_finite() { ehi } else { 0.0 };
+            ((self.sum_hi - own) + SUM_SLACK * self.sum_hi).max(0.0)
+        };
+        (lo, hi)
+    }
+}
+
 /// One frozen layer of an ancestor chain: stations whose envelopes were
 /// pinned at some ancestor cell (Arc-shared by every descendant).
 #[derive(Debug)]
@@ -750,12 +868,7 @@ pub struct CellCert {
     /// Plain sums of the frozen entries' envelope ends (all finite).
     frozen_lo: f64,
     frozen_hi: f64,
-    /// Finite-part totals over **all** stations, and the count of
-    /// infinite envelope ends excluded from them.
-    sum_lo: f64,
-    sum_hi: f64,
-    inf_lo: u32,
-    inf_hi: u32,
+    totals: Totals,
     noise: f64,
     beta: f64,
 }
@@ -809,28 +922,6 @@ impl CellCert {
         unreachable!("station {j} is neither a candidate nor frozen")
     }
 
-    /// Leave-one-out interference bracket for a station with energy
-    /// envelope `(elo, ehi)`: totals minus the station's own ends, with
-    /// infinity bookkeeping (an `∞` end elsewhere forces that side to
-    /// `∞`) and [`SUM_SLACK`] widening against cancellation.
-    fn interference_bounds(&self, elo: f64, ehi: f64) -> (f64, f64) {
-        let inf_lo_others = self.inf_lo - u32::from(elo == f64::INFINITY);
-        let lo = if inf_lo_others > 0 {
-            f64::INFINITY
-        } else {
-            let own = if elo.is_finite() { elo } else { 0.0 };
-            ((self.sum_lo - own) - SUM_SLACK * self.sum_lo).max(0.0)
-        };
-        let inf_hi_others = self.inf_hi - u32::from(ehi == f64::INFINITY);
-        let hi = if inf_hi_others > 0 {
-            f64::INFINITY
-        } else {
-            let own = if ehi.is_finite() { ehi } else { 0.0 };
-            ((self.sum_hi - own) + SUM_SLACK * self.sum_hi).max(0.0)
-        };
-        (lo, hi)
-    }
-
     /// The certified SINR bracket of `station` over the cell: every
     /// value [`SinrEvaluator::sinr`] can return for a point of the cell
     /// — including the co-location conventions (`0` at another station,
@@ -846,7 +937,7 @@ impl CellCert {
             self.n
         );
         let (elo, ehi) = self.energy_bounds(station.0);
-        let (i_lo, i_hi) = self.interference_bounds(elo, ehi);
+        let (i_lo, i_hi) = self.totals.leave_one_out(elo, ehi);
         // Lower end: smallest energy over largest interference+noise.
         // NaN (∞/∞) and 0/0 collapse to the trivial 0.
         let den_hi = (i_hi + self.noise) * (1.0 + TOTAL_MARGIN);
@@ -930,8 +1021,6 @@ pub(crate) fn cell_certificate(
     let n = xs.len();
     let noise = eval.noise();
     let beta = eval.beta();
-    let alpha = eval.alpha();
-    let k_general = GeneralAlpha::new(alpha);
     if let Some(p) = parent {
         debug_assert_eq!(p.n, n, "parent certificate is for a different network");
         debug_assert!(
@@ -945,6 +1034,7 @@ pub(crate) fn cell_certificate(
         && max.y.is_finite()
         && min.x <= max.x
         && min.y <= max.y;
+    let env = BoxEnvelope::new(eval.alpha(), (min, max));
     // Pass 1: envelope every inherited candidate over the child box.
     let inherited = parent.map(|p| p.cands.len()).unwrap_or(n);
     let mut ent: Vec<(u32, f64, f64)> = Vec::with_capacity(inherited);
@@ -953,23 +1043,13 @@ pub(crate) fn cell_certificate(
     let mut inf_lo = 0u32;
     let mut inf_hi = 0u32;
     let mut envelope = |j: usize| {
-        let (mut lo, mut hi) = if finite_cell {
-            let (d_min, d_max) = dist2_range_to_box(min.x, min.y, max.x, max.y, xs[j], ys[j]);
-            if alpha == 2.0 {
-                energy_envelope(InverseSquare, ws[j], d_min, d_max, BOUND_MARGIN)
-            } else {
-                energy_envelope(k_general, ws[j], d_min, d_max, BOUND_MARGIN)
-            }
+        // A NaN envelope (non-finite station coordinates) widens to the
+        // trivial one, which can only force `Mixed`.
+        let (lo, hi) = if finite_cell {
+            widen_nan(env.station(xs[j], ys[j], ws[j]))
         } else {
             (0.0, f64::INFINITY)
         };
-        // Non-finite station coordinates (or any other NaN source)
-        // widen to the trivial envelope — the station can then never be
-        // pruned, frozen, or certified, only force `Mixed`.
-        if lo.is_nan() || hi.is_nan() {
-            lo = 0.0;
-            hi = f64::INFINITY;
-        }
         if lo.is_finite() {
             cand_lo.add(lo);
         } else {
@@ -990,8 +1070,12 @@ pub(crate) fn cell_certificate(
         Some(p) => (p.frozen_lo, p.frozen_hi, p.frozen.clone()),
         None => (0.0, 0.0, None),
     };
-    let sum_lo = frozen_lo + cand_lo.value();
-    let sum_hi = frozen_hi + cand_hi.value();
+    let totals = Totals {
+        sum_lo: frozen_lo + cand_lo.value(),
+        sum_hi: frozen_hi + cand_hi.value(),
+        inf_lo,
+        inf_hi,
+    };
     // Pass 2: classify each candidate against the others' bracket, and
     // partition tight certified-silent candidates into the frozen set.
     // Surviving candidates compact in place over `ent` (ascending order
@@ -1004,18 +1088,7 @@ pub(crate) fn cell_certificate(
     let mut kept = 0usize;
     for i in 0..ent.len() {
         let (j, lo, hi) = ent[i];
-        let others_hi = if inf_hi - u32::from(hi == f64::INFINITY) > 0 {
-            f64::INFINITY
-        } else {
-            let own = if hi.is_finite() { hi } else { 0.0 };
-            ((sum_hi - own) + SUM_SLACK * sum_hi).max(0.0)
-        };
-        let others_lo = if inf_lo - u32::from(lo == f64::INFINITY) > 0 {
-            f64::INFINITY
-        } else {
-            let own = if lo.is_finite() { lo } else { 0.0 };
-            ((sum_lo - own) - SUM_SLACK * sum_lo).max(0.0)
-        };
+        let (others_lo, others_hi) = totals.leave_one_out(lo, hi);
         if cell_silent(hi, others_lo, noise, beta) {
             if hi <= lo * (1.0 + FREEZE_REL) {
                 frozen_lo += lo;
@@ -1067,10 +1140,7 @@ pub(crate) fn cell_certificate(
         frozen,
         frozen_lo,
         frozen_hi,
-        sum_lo,
-        sum_hi,
-        inf_lo,
-        inf_hi,
+        totals,
         noise,
         beta,
     }
@@ -1316,5 +1386,137 @@ mod cert_tests {
         let cert = eval.sinr_bounds_cell(Point::ORIGIN, Point::ORIGIN, None);
         assert_eq!(cert.decision(), CellDecision::Mixed);
         check_cert_sound(&eval, &cert, Point::ORIGIN, Point::ORIGIN);
+    }
+}
+
+#[cfg(test)]
+mod pass_tests {
+    use super::*;
+    use crate::network::Network;
+
+    type Columns = (Vec<f64>, Vec<f64>, Vec<f64>);
+
+    fn soa(c: &Columns) -> (&[f64], &[f64], &[f64]) {
+        (&c.0, &c.1, &c.2)
+    }
+
+    /// Stations at `near` unit-circle points around the origin (power 1)
+    /// plus `far` ones at distance ≥ 1000.
+    fn ring(near: usize, far: usize) -> Columns {
+        let mut c: Columns = Default::default();
+        for k in 0..near {
+            let a = std::f64::consts::TAU * k as f64 / near as f64;
+            c.0.push(a.cos());
+            c.1.push(a.sin());
+            c.2.push(1.0);
+        }
+        for k in 0..far {
+            c.0.push(1000.0 + k as f64);
+            c.1.push(0.0);
+            c.2.push(1.0);
+        }
+        c
+    }
+
+    #[test]
+    fn nan_envelope_stays_a_candidate() {
+        // Station 0 sits inside the box with power 0 (a trial gain that
+        // underflowed): its scaled unit-power envelope is `(0, ∞ · 0)`.
+        let mut c = ring(0, 15);
+        c.0.insert(0, 0.0);
+        c.1.insert(0, 0.0);
+        c.2.insert(0, 0.0);
+        c.0.insert(1, 3.0);
+        c.1.insert(1, 0.0);
+        c.2.insert(1, 1.0);
+        let env = BoxEnvelope::new(2.0, (Point::new(-1.0, -1.0), Point::new(1.0, 1.0)));
+        let unit = |j: usize| env.station(c.0[j], c.1[j], 1.0);
+        assert!((unit(0).1 * c.2[0]).is_nan(), "the fixture must make a NaN");
+        let mut scratch = Scratch::default();
+        let resid = scratch.prune(soa(&c), |j| (unit(j).0 * c.2[j], unit(j).1 * c.2[j]));
+        assert!(
+            resid.is_some(),
+            "2 of 17 stations survive: the tile is pruned"
+        );
+        assert_eq!(scratch.cands.idx, [0, 1]);
+        assert_eq!((scratch.lb[0], scratch.ub[0]), (0.0, f64::INFINITY));
+    }
+
+    #[test]
+    fn seven_eighths_kept_runs_serial() {
+        let env = BoxEnvelope::new(2.0, (Point::new(-1e-3, -1e-3), Point::new(1e-3, 1e-3)));
+        let mut scratch = Scratch::default();
+        for (near, far, pruned) in [(8, 0, false), (7, 1, false), (6, 2, true)] {
+            let c = ring(near, far);
+            let resid = scratch.prune(soa(&c), |j| env.station(c.0[j], c.1[j], c.2[j]));
+            assert_eq!(resid.is_some(), pruned, "{near} of {} kept", near + far);
+            assert_eq!(scratch.cands.idx.len(), near);
+        }
+    }
+
+    #[test]
+    fn residual_is_the_plain_sum_over_pruned_envelopes() {
+        let net = crate::gen::random_uniform_network(5, 300, 30.0, 0.01, 2.0).unwrap();
+        let eval = SinrEvaluator::new(&net);
+        let (xs, ys, ws) = eval.soa();
+        let env = BoxEnvelope::new(2.0, (Point::new(1.0, 2.0), Point::new(1.5, 2.5)));
+        let mut scratch = Scratch::default();
+        let (resid_lo, resid_hi) = scratch
+            .prune(eval.soa(), |j| env.station(xs[j], ys[j], ws[j]))
+            .expect("a half-unit box prunes most of 300 stations");
+        let envs: Vec<(f64, f64)> = (0..xs.len())
+            .map(|j| env.station(xs[j], ys[j], ws[j]))
+            .collect();
+        let m = envs.iter().map(|e| e.0).fold(f64::NEG_INFINITY, f64::max);
+        let (mut lo, mut hi) = (0.0f64, 0.0f64);
+        let mut kept = Vec::new();
+        for (j, &(elo, ehi)) in envs.iter().enumerate() {
+            if ehi >= m {
+                kept.push(j as u32);
+            } else {
+                lo += elo;
+                hi += ehi;
+            }
+        }
+        assert_eq!(scratch.cands.idx, kept);
+        assert_eq!(resid_lo.to_bits(), lo.to_bits());
+        assert_eq!(resid_hi.to_bits(), hi.to_bits());
+        for (k, &j) in kept.iter().enumerate() {
+            let j = j as usize;
+            assert_eq!(
+                (
+                    scratch.cands.xs[k],
+                    scratch.cands.ys[k],
+                    scratch.cands.ws[k]
+                ),
+                (xs[j], ys[j], ws[j])
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "locate_batch_tiled")]
+    fn locate_batch_tiled_names_itself_on_length_mismatch() {
+        let net = Network::uniform(vec![Point::ORIGIN, Point::new(1.0, 0.0)], 0.0, 2.0).unwrap();
+        let eval = SinrEvaluator::new(&net);
+        let mut out = vec![Located::Silent; 1];
+        locate_batch_tiled(
+            &eval,
+            SimdKernel::Portable,
+            Select::MaxEnergy,
+            &[Point::ORIGIN; 2],
+            &mut out,
+            &TileConfig::default(),
+            |p| eval.locate(p),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_map_morton")]
+    fn batch_map_morton_names_itself_on_length_mismatch() {
+        let mut out = vec![0.0; 1];
+        batch_map_morton(&[Point::ORIGIN; 2], &mut out, &TileConfig::default(), |p| {
+            p.x
+        });
     }
 }

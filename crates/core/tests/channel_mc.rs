@@ -433,3 +433,72 @@ fn typed_errors_for_stale_invalid_and_unsupported() {
         Err(ChannelError::Unsupported(_))
     ));
 }
+
+/// Non-finite query points through the tiled Monte-Carlo executor: the
+/// batch holds 1023 finite points and three non-finite ones (NaN, +∞,
+/// −∞). Non-finite points sort last in the Morton order (in input
+/// order), so with 512-point tiles tile 0 is all finite (the pruned
+/// path), tile 1 mixes 511 finite points with the NaN, and tile 2 holds
+/// the two infinities — both non-finite tiles run the serial kernel
+/// wholesale. Probabilities must equal, bit for bit, a replay that
+/// rebuilds the scaled network per trial and asks the same backend's
+/// `locate`.
+#[test]
+fn non_finite_points_match_rebuild_per_trial_replay() {
+    let model = ChannelModel::LogNormalShadowing { sigma_db: 5.0 };
+    let trials = 12u32;
+    let mc = McConfig::new(trials, 0xF1A7);
+    let n = TILED_MIN_STATIONS + 40;
+    let net = big_network(91, n, true);
+    let mut points = query_batch(&net, 1023, 0x99);
+    points.insert(5, Point::new(f64::NAN, 0.0));
+    points.insert(300, Point::new(f64::INFINITY, 1.0));
+    points.insert(900, Point::new(0.5, f64::NEG_INFINITY));
+    assert_eq!(points.len(), 1026);
+
+    let positions: Vec<Point> = net.ids().map(|i| net.position(i)).collect();
+    let powers: Vec<f64> = net.ids().map(|i| net.power(i)).collect();
+    let scaled_networks: Vec<Network> = (0..trials)
+        .map(|t| {
+            let mut gains = vec![1.0; n];
+            model.gains_for_trial(mc.seed, t, &mut gains);
+            let mut b = Network::builder()
+                .background_noise(net.noise())
+                .threshold(net.beta());
+            for (p, (w, g)) in positions.iter().zip(powers.iter().zip(&gains)) {
+                b = b.station_with_power(*p, w * g);
+            }
+            b.build().unwrap()
+        })
+        .collect();
+    let check = |name: &str, build: &dyn Fn(&Network) -> Box<dyn QueryEngine>| {
+        let mut probs = vec![f64::NAN; points.len()];
+        build(&net)
+            .reception_probability_batch(&model, mc, &points, &mut probs)
+            .unwrap();
+        let mut counts = vec![0u32; points.len()];
+        for scaled in &scaled_networks {
+            let engine = build(scaled);
+            for (c, p) in counts.iter_mut().zip(&points) {
+                if engine.locate(*p).station().is_some() {
+                    *c += 1;
+                }
+            }
+        }
+        for (i, (got, c)) in probs.iter().zip(&counts).enumerate() {
+            let expect = *c as f64 / trials as f64;
+            assert_eq!(
+                got.to_bits(),
+                expect.to_bits(),
+                "{name}: MC executor disagrees with the replay at point {i} ({:?})",
+                points[i]
+            );
+        }
+    };
+    check("ExactScan", &|net| Box::new(ExactScan::new(net)));
+    for kernel in SimdKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+        check(kernel.name(), &|net| {
+            Box::new(SimdScan::with_kernel(SinrEvaluator::new(net), kernel))
+        });
+    }
+}
