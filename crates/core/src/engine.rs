@@ -25,10 +25,14 @@
 //!   every network), [`SimdScan`](crate::simd::SimdScan) (the same scan
 //!   explicitly vectorized — 8×f64 AVX-512 or 4×f64 AVX2 lanes when the
 //!   CPU has them, with SSE2 and portable scalar fallbacks), [`VoronoiAssisted`]
-//!   (kd-tree nearest-station dispatch per Observation 2.2, exact for
-//!   uniform power, falling back to the scan otherwise), and the
+//!   (weighted kd-tree dispatch, exact for every power assignment: the
+//!   nearest station under uniform power per Observation 2.2, the
+//!   power-diagram cell's strongest station otherwise), and the
 //!   Theorem-3 `PointLocator` of `sinr-pointloc` (sublinear per query,
 //!   `ε`-approximate near zone boundaries).
+//!
+//! The three exact backends share **one** [`QueryEngine`] impl and
+//! differ only in a few per-backend hooks (see the trait docs).
 //!
 //! The [`Located`] answer type lives here so that every backend — across
 //! crates — speaks the same language; `sinr-pointloc` re-exports it.
@@ -970,10 +974,7 @@ impl SinrEvaluator {
     /// [`SinrEvaluator::assert_fresh`]).
     pub fn locate(&self, p: Point) -> Located {
         self.assert_fresh();
-        self.with_kernel(|ev, k| match k {
-            DynKernel::Square(k) => ev.locate_with(k, p),
-            DynKernel::General(k) => ev.locate_with(k, p),
-        })
+        self.locate_scalar(p)
     }
 
     /// The SINR of station `i` at `p`.
@@ -988,38 +989,6 @@ impl SinrEvaluator {
             DynKernel::Square(k) => ev.sinr_with(k, i.0, p),
             DynKernel::General(k) => ev.sinr_with(k, i.0, p),
         })
-    }
-
-    /// Batched [`SinrEvaluator::locate`]: answers are written into `out`.
-    /// Large batches against large networks run through the
-    /// spatially-coherent tiled executor of [`crate::tile`] (Morton
-    /// tiles, certified candidate pruning, serial-kernel fallback —
-    /// bit-identical answers); everything else takes the per-point
-    /// work-stealing path. See the module-level [execution
-    /// model](self#execution-model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` and `out` have different lengths.
-    pub fn locate_batch(&self, points: &[Point], out: &mut [Located]) {
-        self.assert_fresh();
-        let cfg = crate::tile::TileConfig::default();
-        if cfg.engages(points.len(), self.len()) {
-            crate::tile::locate_batch_tiled(
-                self,
-                crate::simd::SimdKernel::Portable,
-                crate::tile::Select::MaxEnergy,
-                points,
-                out,
-                &cfg,
-                |p| self.locate_scalar(p),
-            );
-            return;
-        }
-        self.with_kernel(|ev, k| match k {
-            DynKernel::Square(k) => batch_map(points, out, |p| ev.locate_with(k, *p)),
-            DynKernel::General(k) => batch_map(points, out, |p| ev.locate_with(k, *p)),
-        });
     }
 
     /// Batched [`SinrEvaluator::sinr`] for one station across many
@@ -1068,32 +1037,6 @@ impl SinrEvaluator {
         self.assert_fresh();
         crate::tile::cell_certificate(self, min, max, parent)
     }
-
-    /// Certified batched location against an ancestor cell certificate
-    /// — the evaluator-level worker behind
-    /// [`QueryEngine::locate_in_cell`]: candidate-only certified
-    /// decisions ([`crate::tile::locate_in_cell`]); points the margins
-    /// cannot pin come back `None` for the caller's batch path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is stale or the slice lengths differ.
-    pub fn locate_in_cell(
-        &self,
-        cert: &crate::tile::CellCert,
-        points: &[Point],
-        out: &mut [Option<Located>],
-    ) {
-        self.assert_fresh();
-        crate::tile::locate_in_cell(
-            self,
-            crate::simd::SimdKernel::Portable,
-            crate::tile::Select::MaxEnergy,
-            cert,
-            points,
-            out,
-        );
-    }
 }
 
 /// Runtime kernel choice, resolved once per call (not once per point).
@@ -1105,11 +1048,29 @@ enum DynKernel {
 
 /// The backend-independent query interface: one network, many points.
 ///
-/// Implementations: [`ExactScan`], [`VoronoiAssisted`] (this crate) and
-/// the Theorem-3 `PointLocator` (`sinr-pointloc`). All three agree with
-/// the scalar ground truth [`crate::sinr::heard_at`] wherever they answer
-/// definitely; only approximate backends may answer
+/// Implementations: the exact backends [`ExactScan`],
+/// [`SimdScan`](crate::simd::SimdScan) and [`VoronoiAssisted`] (one
+/// shared impl, see below), the type-erased [`BoxedEngine`] (this
+/// crate), and the Theorem-3 `PointLocator` (`sinr-pointloc`). All of
+/// them agree with the scalar ground truth [`crate::sinr::heard_at`]
+/// wherever they answer definitely; only approximate backends may answer
 /// [`Located::Uncertain`].
+///
+/// The three exact backends do not write this impl themselves: one
+/// blanket `impl<T: exact::Backend> QueryEngine for T` holds every
+/// method (freshness checks, the batch split, cell certificates, both
+/// Monte-Carlo methods, the epoch plumbing), over a sealed crate-private
+/// trait through which each backend supplies only its hooks: its
+/// evaluator, the kernel of its candidate scans, its
+/// [`Select`](crate::tile::Select) rule, its full scan (also the
+/// Monte-Carlo per-trial fallback on a gain-scaled evaluator), its
+/// serial per-point kernel when that is not the full scan
+/// ([`VoronoiAssisted`]'s tree walk), and its delta/sync upkeep when it
+/// holds more than the evaluator ([`VoronoiAssisted`]'s kd-tree). Large
+/// `locate_batch` calls run through the tiled executor
+/// ([`crate::tile::locate_batch_tiled`]) when
+/// [`TileConfig::engages`](crate::tile::TileConfig::engages), through
+/// [`batch_map`] otherwise.
 pub trait QueryEngine {
     /// Who (if anyone) is heard at `p`?
     fn locate(&self, p: Point) -> Located;
@@ -1117,8 +1078,9 @@ pub trait QueryEngine {
     /// Batched [`QueryEngine::locate`]: `out[k]` receives the answer for
     /// `points[k]`.
     ///
-    /// The default implementation is a serial loop; the provided backends
-    /// override it with the work-stealing [`batch_map`] scheduler.
+    /// The default implementation is a serial loop; the exact backends
+    /// run the tiled executor or the work-stealing [`batch_map`]
+    /// scheduler.
     ///
     /// # Panics
     ///
@@ -1290,8 +1252,11 @@ pub trait QueryEngine {
 
     /// True when the source network has mutated past this engine —
     /// queries will panic until [`QueryEngine::apply`] catches up on the
-    /// missed deltas or [`QueryEngine::sync`] rebuilds.
-    fn is_stale(&self) -> bool;
+    /// missed deltas or [`QueryEngine::sync`] rebuilds. The provided
+    /// body reads [`QueryEngine::freshness`].
+    fn is_stale(&self) -> bool {
+        self.freshness().is_err()
+    }
 
     /// Applies one [`NetworkDelta`] incrementally, avoiding a rebuild.
     ///
@@ -1338,6 +1303,165 @@ pub trait QueryEngine {
     fn freeze(&mut self) {}
 }
 
+/// The per-backend half of the exact engines' one [`QueryEngine`] impl.
+///
+/// Sealed: [`Backend`](exact::Backend) is public inside a crate-private
+/// module, so no other crate can name or implement it, and their own
+/// `impl QueryEngine` blocks (the Theorem-3 `PointLocator`, test
+/// doubles) never overlap the blanket impl below.
+pub(crate) mod exact {
+    use super::{Located, Network, NetworkDelta, SimdKernel, SinrEvaluator, SyncError};
+    use crate::tile::Select;
+    use sinr_geometry::Point;
+
+    /// What an exact backend supplies; the blanket impl does the rest.
+    pub trait Backend: Sync {
+        /// The wrapped evaluator.
+        fn eval(&self) -> &SinrEvaluator;
+
+        /// The wrapped evaluator, for delta and sync upkeep.
+        fn eval_mut(&mut self) -> &mut SinrEvaluator;
+
+        /// The kernel of the candidate scans: the tiled executor's, the
+        /// cell-certified path's and the Monte-Carlo executor's.
+        fn scan_kernel(&self) -> SimdKernel;
+
+        /// The candidate rule those scans certify under.
+        fn select(&self) -> Select {
+            Select::MaxEnergy
+        }
+
+        /// This backend's full scan of `ev` at `p`, without a freshness
+        /// check. The Monte-Carlo executor's per-trial fallback runs it
+        /// on the gain-scaled evaluator.
+        fn full_scan(&self, ev: &SinrEvaluator, p: Point) -> Located;
+
+        /// The serial per-point kernel, without a freshness check:
+        /// `locate`, the per-point batch path and the tiled executor's
+        /// fallback. Defaults to the full scan of [`Backend::eval`].
+        #[inline]
+        fn serial(&self, p: Point) -> Located {
+            self.full_scan(self.eval(), p)
+        }
+
+        /// Applies one delta. The default patches the evaluator's SoA
+        /// columns; the scan kernel stays as constructed.
+        fn apply_delta(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
+            self.eval_mut().apply(delta)
+        }
+
+        /// Rebuilds from `net`. The default rebuilds the evaluator; the
+        /// scan kernel stays as constructed.
+        fn resync(&mut self, net: &Network) {
+            self.eval_mut().sync(net);
+        }
+    }
+}
+
+impl<T: exact::Backend> QueryEngine for T {
+    fn locate(&self, p: Point) -> Located {
+        self.eval().assert_fresh();
+        self.serial(p)
+    }
+
+    fn locate_batch(&self, points: &[Point], out: &mut [Located]) {
+        let eval = self.eval();
+        eval.assert_fresh();
+        let cfg = crate::tile::TileConfig::default();
+        if cfg.engages(points.len(), eval.len()) {
+            let (kernel, select) = (self.scan_kernel(), self.select());
+            crate::tile::locate_batch_tiled(eval, kernel, select, points, out, &cfg, |p| {
+                self.serial(p)
+            });
+        } else {
+            batch_map(points, out, |p| self.serial(*p));
+        }
+    }
+
+    fn sinr_batch(&self, i: StationId, points: &[Point], out: &mut [f64]) {
+        // Reported SINR values need the direct `j ≠ i` interference sum
+        // (see `SinrEvaluator::sinr`), which every backend shares.
+        self.eval().sinr_batch(i, points, out);
+    }
+
+    fn sinr_bounds_cell(
+        &self,
+        min: Point,
+        max: Point,
+        parent: Option<&crate::tile::CellCert>,
+    ) -> Option<crate::tile::CellCert> {
+        Some(self.eval().sinr_bounds_cell(min, max, parent))
+    }
+
+    fn locate_in_cell(
+        &self,
+        cert: &crate::tile::CellCert,
+        points: &[Point],
+        out: &mut [Option<Located>],
+    ) -> bool {
+        let eval = self.eval();
+        eval.assert_fresh();
+        // Uncertifiable points stay `None` for the caller's batch path.
+        let (kernel, select) = (self.scan_kernel(), self.select());
+        crate::tile::locate_in_cell(eval, kernel, select, cert, points, out);
+        true
+    }
+
+    fn freshness(&self) -> Result<(), LocateError> {
+        self.eval().freshness()
+    }
+
+    fn reception_probability_batch(
+        &self,
+        model: &ChannelModel,
+        mc: McConfig,
+        points: &[Point],
+        out: &mut [f64],
+    ) -> Result<(), ChannelError> {
+        // Identity channels answer through `locate_batch`, so degenerate
+        // answers keep this backend's own summation order bit for bit.
+        crate::channel::reception_probability_driver(
+            self.eval(),
+            self.scan_kernel(),
+            model,
+            mc,
+            points,
+            out,
+            |ev, p| self.full_scan(ev, p),
+            |pts, located| self.locate_batch(pts, located),
+        )
+    }
+
+    fn sinr_quantiles_batch(
+        &self,
+        model: &ChannelModel,
+        mc: McConfig,
+        i: StationId,
+        points: &[Point],
+        quantiles: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), ChannelError> {
+        crate::channel::sinr_quantiles_driver(self.eval(), model, mc, i, points, quantiles, out)
+    }
+
+    fn revision(&self) -> u64 {
+        self.eval().revision()
+    }
+
+    fn apply(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
+        self.apply_delta(delta)
+    }
+
+    fn sync(&mut self, net: &Network) -> Result<(), SyncError> {
+        self.resync(net);
+        Ok(())
+    }
+
+    fn freeze(&mut self) {
+        self.eval_mut().freeze();
+    }
+}
+
 /// The exact linear-scan backend: one amortized SoA pass per point.
 ///
 /// Exact for **every** network (any power assignment, any `α`, any `β`).
@@ -1367,92 +1491,22 @@ impl ExactScan {
     }
 }
 
-impl QueryEngine for ExactScan {
-    fn locate(&self, p: Point) -> Located {
-        self.eval.locate(p)
+impl exact::Backend for ExactScan {
+    fn eval(&self) -> &SinrEvaluator {
+        &self.eval
     }
 
-    fn locate_batch(&self, points: &[Point], out: &mut [Located]) {
-        self.eval.locate_batch(points, out);
+    fn eval_mut(&mut self) -> &mut SinrEvaluator {
+        &mut self.eval
     }
 
-    fn sinr_batch(&self, i: StationId, points: &[Point], out: &mut [f64]) {
-        self.eval.sinr_batch(i, points, out);
+    fn scan_kernel(&self) -> SimdKernel {
+        SimdKernel::Portable
     }
 
-    fn sinr_bounds_cell(
-        &self,
-        min: Point,
-        max: Point,
-        parent: Option<&crate::tile::CellCert>,
-    ) -> Option<crate::tile::CellCert> {
-        Some(self.eval.sinr_bounds_cell(min, max, parent))
-    }
-
-    fn locate_in_cell(
-        &self,
-        cert: &crate::tile::CellCert,
-        points: &[Point],
-        out: &mut [Option<Located>],
-    ) -> bool {
-        self.eval.locate_in_cell(cert, points, out);
-        true
-    }
-
-    fn freshness(&self) -> Result<(), LocateError> {
-        self.eval.freshness()
-    }
-
-    fn reception_probability_batch(
-        &self,
-        model: &ChannelModel,
-        mc: McConfig,
-        points: &[Point],
-        out: &mut [f64],
-    ) -> Result<(), ChannelError> {
-        crate::channel::reception_probability_driver(
-            &self.eval,
-            SimdKernel::Portable,
-            model,
-            mc,
-            points,
-            out,
-            |ev, p| ev.locate_scalar(p),
-            |pts, located| self.eval.locate_batch(pts, located),
-        )
-    }
-
-    fn sinr_quantiles_batch(
-        &self,
-        model: &ChannelModel,
-        mc: McConfig,
-        i: StationId,
-        points: &[Point],
-        quantiles: &[f64],
-        out: &mut [f64],
-    ) -> Result<(), ChannelError> {
-        crate::channel::sinr_quantiles_driver(&self.eval, model, mc, i, points, quantiles, out)
-    }
-
-    fn revision(&self) -> u64 {
-        self.eval.revision()
-    }
-
-    fn is_stale(&self) -> bool {
-        self.eval.is_stale()
-    }
-
-    fn apply(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
-        self.eval.apply(delta)
-    }
-
-    fn sync(&mut self, net: &Network) -> Result<(), SyncError> {
-        self.eval.sync(net);
-        Ok(())
-    }
-
-    fn freeze(&mut self) {
-        self.eval.freeze();
+    #[inline]
+    fn full_scan(&self, ev: &SinrEvaluator, p: Point) -> Located {
+        ev.locate_scalar(p)
     }
 }
 
@@ -1718,9 +1772,56 @@ impl VoronoiAssisted {
             (cand, d2)
         }
     }
+}
 
+impl exact::Backend for VoronoiAssisted {
+    fn eval(&self) -> &SinrEvaluator {
+        &self.eval
+    }
+
+    fn eval_mut(&mut self) -> &mut SinrEvaluator {
+        &mut self.eval
+    }
+
+    fn scan_kernel(&self) -> SimdKernel {
+        self.kernel
+    }
+
+    /// The tiled executor's per-point candidate rule for the current
+    /// powers: [`Select::Nearest`](crate::tile::Select::Nearest) under
+    /// uniform power (the kd-tree's nearest walk),
+    /// [`Select::MaxEnergy`](crate::tile::Select::MaxEnergy) otherwise
+    /// (the power-diagram argmax — identical winner to the weighted
+    /// walk, since both maximise the same per-station energies). The
+    /// per-tile candidate set plays the kd-tree's role: the winning
+    /// station always survives pruning under either rule.
     #[inline]
-    fn locate_via_tree(&self, p: Point) -> Located {
+    fn select(&self) -> crate::tile::Select {
+        if self.eval.is_uniform_power() {
+            crate::tile::Select::Nearest
+        } else {
+            crate::tile::Select::MaxEnergy
+        }
+    }
+
+    /// The exact scalar scan. Non-identity channel trials scale the
+    /// powers per trial, which the tree's baked weights do not track,
+    /// so the per-trial fallback cannot walk the tree.
+    #[inline]
+    fn full_scan(&self, ev: &SinrEvaluator, p: Point) -> Located {
+        ev.locate_scalar(p)
+    }
+
+    /// The tree walk plus one candidate interference sum. Cell
+    /// certificates are sound for it too: a certified `Reception` pins a
+    /// strict unique energy argmax, which is exactly the station the
+    /// power-diagram walk (and, under uniform power, the nearest walk)
+    /// selects; a certified `Silent` fails every station's test,
+    /// including whichever one the walk picks. The certificates'
+    /// envelopes are per-station and power-aware, so this holds for
+    /// every power assignment.
+    #[inline]
+    fn serial(&self, p: Point) -> Located {
         let (cand, d2) = self.dispatch_candidate(p);
         if d2 == 0.0 {
             // At a station's position: reception by the `{sᵢ}` clause.
@@ -1735,142 +1836,7 @@ impl VoronoiAssisted {
         )
     }
 
-    /// The tiled executor's per-point candidate rule for the current
-    /// powers: [`Select::Nearest`](crate::tile::Select::Nearest) under
-    /// uniform power (the kd-tree's nearest walk),
-    /// [`Select::MaxEnergy`](crate::tile::Select::MaxEnergy) otherwise
-    /// (the power-diagram argmax — identical winner to the weighted
-    /// walk, since both maximise the same per-station energies).
-    #[inline]
-    fn tile_select(&self) -> crate::tile::Select {
-        if self.eval.is_uniform_power() {
-            crate::tile::Select::Nearest
-        } else {
-            crate::tile::Select::MaxEnergy
-        }
-    }
-}
-
-impl QueryEngine for VoronoiAssisted {
-    fn locate(&self, p: Point) -> Located {
-        self.eval.assert_fresh();
-        self.locate_via_tree(p)
-    }
-
-    fn locate_batch(&self, points: &[Point], out: &mut [Located]) {
-        self.eval.assert_fresh();
-        let cfg = crate::tile::TileConfig::default();
-        if cfg.engages(points.len(), self.eval.len()) {
-            // Tiled proximity dispatch: the per-tile candidate set
-            // plays the kd-tree's role (the winning station always
-            // survives pruning under either selection rule), with the
-            // serial tree walk as the per-point fallback.
-            crate::tile::locate_batch_tiled(
-                &self.eval,
-                self.kernel,
-                self.tile_select(),
-                points,
-                out,
-                &cfg,
-                |p| self.locate_via_tree(p),
-            );
-            return;
-        }
-        batch_map(points, out, |p| self.locate_via_tree(*p));
-    }
-
-    fn sinr_batch(&self, i: StationId, points: &[Point], out: &mut [f64]) {
-        self.eval.sinr_batch(i, points, out);
-    }
-
-    fn sinr_bounds_cell(
-        &self,
-        min: Point,
-        max: Point,
-        parent: Option<&crate::tile::CellCert>,
-    ) -> Option<crate::tile::CellCert> {
-        // Sound for the tree dispatch too: a certified Reception pins a
-        // strict unique energy argmax, which is exactly the station the
-        // power-diagram walk (and, under uniform power, the nearest
-        // walk) selects; certified Silent fails every station's test
-        // including whichever one the tree walk picks. The cell
-        // certificates' envelopes are per-station and power-aware, so
-        // this holds for every power assignment.
-        Some(self.eval.sinr_bounds_cell(min, max, parent))
-    }
-
-    fn locate_in_cell(
-        &self,
-        cert: &crate::tile::CellCert,
-        points: &[Point],
-        out: &mut [Option<Located>],
-    ) -> bool {
-        self.eval.assert_fresh();
-        // Certified decisions under this backend's per-query candidate
-        // rule (nearest for uniform power, max-energy otherwise);
-        // uncertifiable points stay `None` for the caller's tiled
-        // batch path.
-        crate::tile::locate_in_cell(
-            &self.eval,
-            self.kernel,
-            self.tile_select(),
-            cert,
-            points,
-            out,
-        );
-        true
-    }
-
-    fn freshness(&self) -> Result<(), LocateError> {
-        self.eval.freshness()
-    }
-
-    fn reception_probability_batch(
-        &self,
-        model: &ChannelModel,
-        mc: McConfig,
-        points: &[Point],
-        out: &mut [f64],
-    ) -> Result<(), ChannelError> {
-        // Identity channels route through `locate_batch` inside the
-        // driver (so degenerate answers keep this backend's tree-based
-        // summation order bit-for-bit); non-identity trials scale the
-        // powers per trial, which the static tree's baked weights do
-        // not track — the per-trial serial kernel is the exact scalar
-        // scan over the trial-scaled evaluator.
-        crate::channel::reception_probability_driver(
-            &self.eval,
-            self.kernel,
-            model,
-            mc,
-            points,
-            out,
-            |ev, p| ev.locate_scalar(p),
-            |pts, located| self.locate_batch(pts, located),
-        )
-    }
-
-    fn sinr_quantiles_batch(
-        &self,
-        model: &ChannelModel,
-        mc: McConfig,
-        i: StationId,
-        points: &[Point],
-        quantiles: &[f64],
-        out: &mut [f64],
-    ) -> Result<(), ChannelError> {
-        crate::channel::sinr_quantiles_driver(&self.eval, model, mc, i, points, quantiles, out)
-    }
-
-    fn revision(&self) -> u64 {
-        self.eval.revision()
-    }
-
-    fn is_stale(&self) -> bool {
-        self.eval.is_stale()
-    }
-
-    fn apply(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
+    fn apply_delta(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
         self.eval.apply(delta)?;
         // The weighted index absorbs every delta kind — including power
         // changes, which historically dropped the tree (the unweighted
@@ -1893,13 +1859,8 @@ impl QueryEngine for VoronoiAssisted {
         Ok(())
     }
 
-    fn sync(&mut self, net: &Network) -> Result<(), SyncError> {
+    fn resync(&mut self, net: &Network) {
         *self = VoronoiAssisted::new(net);
-        Ok(())
-    }
-
-    fn freeze(&mut self) {
-        self.eval.freeze();
     }
 }
 
@@ -2074,10 +2035,6 @@ impl QueryEngine for BoxedEngine {
 
     fn revision(&self) -> u64 {
         self.inner.revision()
-    }
-
-    fn is_stale(&self) -> bool {
-        self.inner.is_stale()
     }
 
     fn apply(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {

@@ -80,12 +80,8 @@
 //! ```
 #![allow(unsafe_code)]
 
-use crate::engine::{
-    batch_map, GeneralAlpha, InverseSquare, LocateError, Located, PathLoss, QueryEngine, Scan,
-    SinrEvaluator, SyncError,
-};
-use crate::network::{Network, NetworkDelta};
-use crate::station::StationId;
+use crate::engine::{GeneralAlpha, InverseSquare, Located, PathLoss, Scan, SinrEvaluator};
+use crate::network::Network;
 use sinr_algebra::KahanSum;
 use sinr_geometry::Point;
 
@@ -667,6 +663,10 @@ mod x86 {
 /// per instruction on the `α = 2` fast path. The instruction set is
 /// detected once at construction — see the [module docs](self) for the
 /// feature-detection story and the portable fallback.
+///
+/// Its [`QueryEngine`](crate::engine::QueryEngine) impl is the one the
+/// three exact backends share (see the trait docs); this backend's hooks
+/// are the pinned kernel, for the candidate scans and the full scan.
 #[derive(Debug, Clone)]
 pub struct SimdScan {
     eval: SinrEvaluator,
@@ -714,146 +714,33 @@ impl SimdScan {
     pub fn kernel(&self) -> SimdKernel {
         self.kernel
     }
-
-    /// One vectorized scan of all stations.
-    fn scan(&self, p: Point) -> Result<Scan, usize> {
-        let (xs, ys, powers) = self.eval.soa();
-        scan_slices(self.kernel, self.eval.alpha(), xs, ys, powers, p)
-    }
 }
 
-impl QueryEngine for SimdScan {
-    fn locate(&self, p: Point) -> Located {
-        self.eval.assert_fresh();
-        self.eval.decide(self.scan(p))
+impl crate::engine::exact::Backend for SimdScan {
+    fn eval(&self) -> &SinrEvaluator {
+        &self.eval
     }
 
-    fn locate_batch(&self, points: &[Point], out: &mut [Located]) {
-        self.eval.assert_fresh();
-        let cfg = crate::tile::TileConfig::default();
-        if cfg.engages(points.len(), self.eval.len()) {
-            // Tiled execution with this engine's pinned kernel driving
-            // the candidate scans and its own full scan as the
-            // per-point fallback (see `crate::tile` for the
-            // bit-identity contract).
-            crate::tile::locate_batch_tiled(
-                &self.eval,
-                self.kernel,
-                crate::tile::Select::MaxEnergy,
-                points,
-                out,
-                &cfg,
-                |p| self.eval.decide(self.scan(p)),
-            );
-            return;
-        }
-        batch_map(points, out, |p| self.eval.decide(self.scan(*p)));
+    fn eval_mut(&mut self) -> &mut SinrEvaluator {
+        &mut self.eval
     }
 
-    fn sinr_batch(&self, i: StationId, points: &[Point], out: &mut [f64]) {
-        // Reported SINR values need the direct `j ≠ i` interference sum
-        // (see `SinrEvaluator::sinr`); the scalar path is already exact.
-        self.eval.sinr_batch(i, points, out);
+    fn scan_kernel(&self) -> SimdKernel {
+        self.kernel
     }
 
-    fn sinr_bounds_cell(
-        &self,
-        min: Point,
-        max: Point,
-        parent: Option<&crate::tile::CellCert>,
-    ) -> Option<crate::tile::CellCert> {
-        // The intrinsics kernels' summation-order differences are
-        // inside `TOTAL_MARGIN`, so the generic certificate covers this
-        // backend's lane-reassociated scans too.
-        Some(self.eval.sinr_bounds_cell(min, max, parent))
-    }
-
-    fn locate_in_cell(
-        &self,
-        cert: &crate::tile::CellCert,
-        points: &[Point],
-        out: &mut [Option<Located>],
-    ) -> bool {
-        self.eval.assert_fresh();
-        // Candidate-certified decisions through this engine's pinned
-        // kernel (per-station energies are bit-identical across
-        // kernels, so the certified argmax matches the full scans);
-        // uncertifiable points stay `None` for the caller's tiled
-        // batch path.
-        crate::tile::locate_in_cell(
-            &self.eval,
-            self.kernel,
-            crate::tile::Select::MaxEnergy,
-            cert,
-            points,
-            out,
-        );
-        true
-    }
-
-    fn freshness(&self) -> Result<(), LocateError> {
-        self.eval.freshness()
-    }
-
-    fn reception_probability_batch(
-        &self,
-        model: &crate::channel::ChannelModel,
-        mc: crate::channel::McConfig,
-        points: &[Point],
-        out: &mut [f64],
-    ) -> Result<(), crate::channel::ChannelError> {
-        // The pinned kernel drives both the candidate scans and the
-        // per-trial serial fallback, so every trial's reception bit is
-        // exactly what this engine's `locate` would answer on the
-        // gain-scaled network.
-        crate::channel::reception_probability_driver(
-            &self.eval,
-            self.kernel,
-            model,
-            mc,
-            points,
-            out,
-            |ev, p| {
-                let (xs, ys, powers) = ev.soa();
-                ev.decide(scan_slices(self.kernel, ev.alpha(), xs, ys, powers, p))
-            },
-            |pts, located| self.locate_batch(pts, located),
-        )
-    }
-
-    fn sinr_quantiles_batch(
-        &self,
-        model: &crate::channel::ChannelModel,
-        mc: crate::channel::McConfig,
-        i: StationId,
-        points: &[Point],
-        quantiles: &[f64],
-        out: &mut [f64],
-    ) -> Result<(), crate::channel::ChannelError> {
-        crate::channel::sinr_quantiles_driver(&self.eval, model, mc, i, points, quantiles, out)
-    }
-
-    fn revision(&self) -> u64 {
-        self.eval.revision()
-    }
-
-    fn is_stale(&self) -> bool {
-        self.eval.is_stale()
-    }
-
-    fn apply(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
-        // The SoA patch is kernel-independent; the pinned/detected
-        // instruction set stays as constructed.
-        self.eval.apply(delta)
-    }
-
-    fn sync(&mut self, net: &Network) -> Result<(), SyncError> {
-        self.eval.sync(net);
-        Ok(())
-    }
-
-    fn freeze(&mut self) {
-        self.eval.freeze();
+    /// One scan of all stations on the pinned kernel — `locate`, the
+    /// tiled fallback and the per-trial Monte-Carlo fallback alike, so
+    /// every answer is exactly what this engine's `locate` gives on the
+    /// (gain-scaled) network. Cell certificates cover these
+    /// lane-reassociated sums: per-station energies are bit-identical
+    /// across kernels, so the certified argmax matches the full scan,
+    /// and the summation-order differences of the totals are inside
+    /// `TOTAL_MARGIN`.
+    #[inline]
+    fn full_scan(&self, ev: &SinrEvaluator, p: Point) -> Located {
+        let (xs, ys, powers) = ev.soa();
+        ev.decide(scan_slices(self.kernel, ev.alpha(), xs, ys, powers, p))
     }
 }
 
@@ -908,6 +795,7 @@ pub(crate) fn candidate_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryEngine;
     use crate::sinr;
 
     fn nets() -> Vec<Network> {

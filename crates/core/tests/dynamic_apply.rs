@@ -741,3 +741,152 @@ fn sync_retargets_and_unstales() {
         assert_eq!(engine.locate(p), fresh.locate(p));
     }
 }
+
+/// One `sync` retarget, for the backend `build` makes: an engine built on
+/// a uniform network A is left stale by mutations of A whose deltas it
+/// never sees, then synced onto `b`. It must answer bit for bit like a
+/// fresh engine built on `b` on a batch long enough for the tiled
+/// executor, under `b`'s root cell certificate and under a seeded
+/// Monte-Carlo channel; afterwards `b`'s next delta (a move, applied to
+/// `b` here) must apply. Returns the synced engine for backend-specific
+/// checks.
+fn assert_sync_matches_fresh<E: QueryEngine>(
+    name: &str,
+    b: &mut Network,
+    build: impl Fn(&Network) -> E,
+) -> E {
+    use sinr_core::channel::{ChannelModel, McConfig};
+    use sinr_core::engine::PARALLEL_BATCH_THRESHOLD;
+    use sinr_core::tile::TILED_MIN_STATIONS;
+
+    let mut a = gen::random_uniform_network(0xA, TILED_MIN_STATIONS + 8, 12.0, 0.01, 1.4).unwrap();
+    let mut engine = build(&a);
+    a.add_station(Point::new(0.5, 0.25), 1.0).unwrap();
+    a.move_station(StationId(3), Point::new(-2.0, 7.0)).unwrap();
+    a.remove_station(StationId(0)).unwrap();
+    assert!(
+        engine.is_stale(),
+        "{name}: mutating A must stale the engine"
+    );
+    engine.sync(b).unwrap();
+    assert!(engine.freshness().is_ok(), "{name}: sync must unstale");
+    assert_eq!(engine.revision(), b.revision(), "{name}");
+
+    let half = 2.0 * (b.len() as f64).sqrt();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB);
+    let mut points: Vec<Point> = b.positions().to_vec();
+    while points.len() < PARALLEL_BATCH_THRESHOLD + 300 {
+        points.push(Point::new(
+            rng.gen_range(-half..half),
+            rng.gen_range(-half..half),
+        ));
+    }
+    let fresh = build(b);
+    let mut synced = vec![Located::Silent; points.len()];
+    let mut rebuilt = vec![Located::Silent; points.len()];
+    engine.locate_batch(&points, &mut synced);
+    fresh.locate_batch(&points, &mut rebuilt);
+    assert_same(
+        name,
+        "tiled locate_batch after sync",
+        &points,
+        &synced,
+        &rebuilt,
+    );
+
+    let (min, max) = (Point::new(-half, -half), Point::new(half, half));
+    let cert_synced = engine.sinr_bounds_cell(min, max, None).unwrap();
+    let cert_fresh = fresh.sinr_bounds_cell(min, max, None).unwrap();
+    assert_eq!(cert_synced.decision(), cert_fresh.decision(), "{name}");
+    let mut in_cell_synced = vec![None; points.len()];
+    let mut in_cell_fresh = vec![None; points.len()];
+    assert!(engine.locate_in_cell(&cert_synced, &points, &mut in_cell_synced));
+    assert!(fresh.locate_in_cell(&cert_fresh, &points, &mut in_cell_fresh));
+    let what = "locate_in_cell after sync";
+    assert_same(name, what, &points, &in_cell_synced, &in_cell_fresh);
+    assert!(
+        in_cell_synced.iter().any(Option::is_some),
+        "{name}: the root certificate pinned no point"
+    );
+
+    let mc = McConfig::new(8, 0x5EED);
+    let mut probs_synced = vec![f64::NAN; points.len()];
+    let mut probs_fresh = vec![f64::NAN; points.len()];
+    engine
+        .reception_probability_batch(
+            &ChannelModel::RayleighFading,
+            mc,
+            &points,
+            &mut probs_synced,
+        )
+        .unwrap();
+    fresh
+        .reception_probability_batch(&ChannelModel::RayleighFading, mc, &points, &mut probs_fresh)
+        .unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let what = "reception probability bits after sync";
+    assert_same(
+        name,
+        what,
+        &points,
+        &bits(&probs_synced),
+        &bits(&probs_fresh),
+    );
+
+    let to = Point::new(1.5, -2.5 + 0.1 * b.revision() as f64);
+    let delta = b.move_station(StationId(1), to).unwrap();
+    engine.apply(&delta).expect("B's next delta applies");
+    engine.locate_batch(&points, &mut synced);
+    build(b).locate_batch(&points, &mut rebuilt);
+    assert_same(
+        name,
+        "locate_batch after B's next delta",
+        &points,
+        &synced,
+        &rebuilt,
+    );
+    engine
+}
+
+/// Equal answer vectors, reporting the first point where they differ.
+fn assert_same<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    what: &str,
+    points: &[Point],
+    got: &[T],
+    expected: &[T],
+) {
+    if let Some(k) = (0..points.len()).find(|&k| got[k] != expected[k]) {
+        panic!(
+            "{name}: {what} diverges at {}: {:?} vs fresh {:?}",
+            points[k], got[k], expected[k]
+        );
+    }
+}
+
+/// `sync` onto a different, non-uniform network for every exact backend
+/// and every supported SIMD kernel: the synced engine matches a fresh one
+/// of the same backend and kernel bit for bit, and `SimdScan` keeps its
+/// pinned kernel.
+#[test]
+fn sync_onto_another_network_matches_fresh_engine_per_backend() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0B);
+    let n = sinr_core::tile::TILED_MIN_STATIONS + 40;
+    let half = 2.0 * (n as f64).sqrt();
+    let mut builder = Network::builder().background_noise(0.02).threshold(1.7);
+    for _ in 0..n {
+        let p = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+        builder = builder.station_with_power(p, rng.gen_range(0.5..2.5));
+    }
+    let mut b = builder.build().unwrap();
+    assert!(!b.is_uniform_power());
+
+    assert_sync_matches_fresh("ExactScan", &mut b, ExactScan::new);
+    assert_sync_matches_fresh("VoronoiAssisted", &mut b, VoronoiAssisted::new);
+    for kernel in SimdKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+        let synced = assert_sync_matches_fresh(kernel.name(), &mut b, |net| {
+            SimdScan::with_kernel(SinrEvaluator::new(net), kernel)
+        });
+        assert_eq!(synced.kernel(), kernel, "sync must keep the pinned kernel");
+    }
+}

@@ -265,10 +265,6 @@ impl QueryEngine for PointLocator {
         self.eval.revision()
     }
 
-    fn is_stale(&self) -> bool {
-        self.eval.is_stale()
-    }
-
     fn apply(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
         // Theorem 3 is stated for uniform power; a delta that leaves the
         // network non-uniform cannot be represented here.

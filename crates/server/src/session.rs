@@ -457,11 +457,8 @@ fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: 
             )
         }
     }
-    if engine.is_stale() {
-        return error(
-            ErrorCode::Stale,
-            "engine is stale relative to its network".to_string(),
-        );
+    if let Err(e) = engine.freshness() {
+        return error(ErrorCode::Stale, e.to_string());
     }
     let window = sinr_geometry::BBox::new(min, max);
     let (map, stats) = sinr_diagram::ReceptionMap::compute_hierarchical_with_engine(
