@@ -47,7 +47,7 @@
 //!   in-place surgery ops ([`Network::add_station`],
 //!   [`Network::remove_station`], [`Network::move_station`],
 //!   [`Network::set_power`]), each of which emits a
-//!   [`NetworkDelta`](crate::network::NetworkDelta);
+//!   [`NetworkDelta`];
 //! * every engine records the revision it reflects
 //!   ([`QueryEngine::revision`]) and watches the network's counter;
 //!   querying a stale engine ([`QueryEngine::is_stale`]) **panics** with
@@ -187,7 +187,7 @@
 //!
 //! [`QueryEngine::reception_probability_batch`] and
 //! [`QueryEngine::sinr_quantiles_batch`] layer a stochastic
-//! [`ChannelModel`](crate::channel::ChannelModel) over the
+//! [`ChannelModel`] over the
 //! deterministic model by **gain folding**: a channel trial is a
 //! multiplicative per-station gain vector `g`, and since the received
 //! energy is linear in transmit power,
@@ -206,12 +206,12 @@
 //! backend's serial kernel on the scaled evaluator, so per-trial
 //! answers are bit-identical to rebuilding a scaled network and
 //! engine from scratch — the degenerate
-//! [`ChannelModel::Deterministic`](crate::channel::ChannelModel::Deterministic)
+//! [`ChannelModel::Deterministic`]
 //! channel short-circuits through the backend's own `locate_batch`
 //! and returns exactly `0.0`/`1.0`.
 //!
 //! The **seeding contract** makes every run replayable from one
-//! explicit `u64` ([`McConfig`](crate::channel::McConfig)): trial `t`
+//! explicit `u64` ([`McConfig`]): trial `t`
 //! draws from `StdRng::seed_from_u64(seed ^ (t+1)·0x9E37_79B9_…)`,
 //! composed atoms consume one shared stream in atom order, and every
 //! atom draws unconditionally — so trial gains depend only on
@@ -512,28 +512,6 @@ where
             slots.write(start + i, f(p));
         }
     });
-}
-
-/// `len` copies of `value`, written across the cores by [`batch_map`] —
-/// `vec![value; len]` for buffers too large to initialise on one core.
-///
-/// The costly part of initialising a multi-megabyte buffer is the first
-/// write to each fresh page (a kernel page fault per 4 KiB), which
-/// `vec!` takes serially: on a 2-core VM a 64 MiB raster buffer costs
-/// about 30 ms that way, more than the rest of a hierarchical 2048²
-/// heatmap's serial work combined.
-#[allow(unsafe_code)]
-pub fn filled_vec<T: Copy + Send + Sync>(value: T, len: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(len);
-    batch_map(
-        &vec![(); len],
-        &mut out.spare_capacity_mut()[..len],
-        move |_| std::mem::MaybeUninit::new(value),
-    );
-    // SAFETY: `batch_map` wrote every one of the first `len` slots (if
-    // it panics instead, the length stays 0).
-    unsafe { out.set_len(len) };
-    out
 }
 
 /// The one unsafe corner of the scheduler: a `Send + Sync` handle to the
@@ -1707,7 +1685,7 @@ impl DynamicTree {
 ///
 /// Under [`QueryEngine::apply`] the kd-tree is maintained through
 /// tombstones and an overflow list with a rebuild threshold (see
-/// [`DynamicTree`]); power deltas re-weight the index in place, so
+/// `DynamicTree`); power deltas re-weight the index in place, so
 /// uniform ↔ non-uniform transitions no longer drop it.
 #[derive(Debug, Clone)]
 pub struct VoronoiAssisted {
@@ -2278,19 +2256,6 @@ mod tests {
                 stolen, serial,
                 "scheduler disagrees with a serial loop at len {len}"
             );
-        }
-    }
-
-    #[test]
-    fn filled_vec_matches_vec_macro() {
-        for len in [
-            0,
-            1,
-            PARALLEL_BATCH_THRESHOLD - 1,
-            3 * BATCH_TILE + 17,
-            25_000,
-        ] {
-            assert_eq!(filled_vec((7u32, -1i64), len), vec![(7u32, -1i64); len]);
         }
     }
 

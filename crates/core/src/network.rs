@@ -20,7 +20,7 @@
 //! index, so only one index is disturbed per removal (and engines can
 //! patch their structure-of-arrays columns in `O(1)`). Callers that need
 //! to follow a station across removals use the stable
-//! [`StationKey`](crate::StationKey) handles
+//! [`StationKey`] handles
 //! ([`Network::station_key`] / [`Network::station_by_key`]).
 //!
 //! The classic immutable surgery ([`Network::with_station`],

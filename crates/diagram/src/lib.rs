@@ -10,7 +10,8 @@
 //!   the station heard there (SINR or protocol model);
 //! * [`quadtree`] — hierarchical rasterisation: interval-certified
 //!   quadtree refinement that resolves whole cells away from the zone
-//!   boundaries and stays bit-identical to the dense path;
+//!   boundaries into row-major label runs ([`ReceptionRuns`]), whose
+//!   expansion is bit-identical to the dense path;
 //! * [`render`] — ASCII, PGM/PPM and CSV writers for reception maps;
 //! * [`figures`] — the exact scenes of the paper's Figures 1–5 with
 //!   their narrated reception outcomes, used by the reproduction harness;
@@ -30,5 +31,5 @@ pub mod quadtree;
 pub mod raster;
 pub mod render;
 
-pub use quadtree::HierarchicalStats;
+pub use quadtree::{HierarchicalStats, ReceptionRuns};
 pub use raster::{PixelLabel, Raster, ReceptionMap};

@@ -15,11 +15,31 @@
 //! per-point *against the certificate in hand*
 //! ([`QueryEngine::locate_in_cell`] — candidate-only certified
 //! decisions, `O(candidates)` per pixel), and only what neither path
-//! resolves goes to ONE ordinary [`QueryEngine::locate_batch`] call.
+//! resolves goes to ordinary [`QueryEngine::locate_batch`] calls.
+//!
+//! ## Runs, not pixels
+//!
+//! The same fatness bounds the *output*: a raster's row-major label runs
+//! grow with the zone perimeters, not with the pixel count. So the
+//! product of [`hierarchical_map`] is a [`ReceptionRuns`] — maximal
+//! row-major runs, bottom row first — and no dense label buffer is ever
+//! allocated. Refinement records *pieces* `(row, c0, c1, label)`: a
+//! certified cell is one piece per row, a per-pixel answer extends the
+//! previous piece when it continues it, and unresolved pixels are
+//! recorded as pending row ranges. The boundary pass locates the pending
+//! ranges in bounded chunks (`BOUNDARY_CHUNK` points per
+//! `locate_batch`). Each worker's pieces are bucketed by row in place
+//! (a counting sort), each row gathers its pieces from every worker and
+//! orders them by column, and one merge of equal neighbours (across row
+//! ends too) turns them into runs. Memory is `O(pieces + chunk)`; for a
+//! backend without certificates, whose root leaves every row pending,
+//! that is one pending range per row plus the answered pieces, which
+//! track the runs, not the pixels. [`ReceptionRuns::expand`]
+//! is the thin dense expansion for callers who want a [`ReceptionMap`].
 //!
 //! ## The equivalence contract
 //!
-//! The produced [`Raster`] is **bit-identical** to the dense path of the
+//! The expanded raster is **bit-identical** to the dense path of the
 //! same backend, for every backend and kernel:
 //!
 //! * certificate-resolved pixels carry a decision that is *proved* for
@@ -32,10 +52,11 @@
 //!   `locate`) or its own `locate_batch`, whose per-point answers are
 //!   order- and composition-independent (the permutation-invariance
 //!   differential suites pin this), so batching only the *unresolved*
-//!   pixels changes nothing;
+//!   pixels, in chunks, changes nothing;
 //! * a backend without certificates (`sinr_bounds_cell` → `None`, e.g.
 //!   the approximate Theorem-3 locator) degrades to exactly the dense
-//!   evaluation in one batch.
+//!   evaluation: every pixel is pending and goes through the chunked
+//!   boundary pass.
 //!
 //! ## Parallel refinement
 //!
@@ -43,32 +64,29 @@
 //! serially. Every `Mixed` cell on the last of them hands its children
 //! to `sinr-core`'s work-stealing scheduler ([`steal_tiles`]) as
 //! independent subtrees, at most 64, each with a shared (`Arc`) copy of
-//! its parent certificate. A worker refines each subtree it claims to pixel
-//! resolution, writing labels straight into that subtree's own
-//! rectangle of the raster (subtrees are disjoint, so no two workers
-//! touch a pixel) and collecting its unresolved pixels and counters in
-//! per-worker scratch. On one core the scheduler runs the same subtrees
-//! inline. The label buffer is initialised across the cores too
-//! ([`filled_vec`]): first-touching a 2048² raster's 64 MiB is
-//! otherwise the largest serial step of the whole map.
+//! its parent certificate. A worker refines each subtree it claims to
+//! pixel resolution, collecting its pieces, pending ranges and counters
+//! in per-worker scratch; workers share nothing writable. On one core
+//! the scheduler runs the same subtrees inline.
 //!
-//! Scheduling cannot change a pixel: a cell's certificate depends only
-//! on the cell and its parent certificate, so a subtree computes the
-//! same certificates, fills and per-pixel answers whichever worker runs
-//! it and when; the unresolved pixels reach the final `locate_batch` in
-//! a scheduling-dependent order, but its per-point answers are
-//! order-independent; and the counters are sums.
+//! Scheduling cannot change a run: a cell's certificate depends only on
+//! the cell and its parent certificate, so a subtree computes the same
+//! certificates, fills and per-pixel answers whichever worker runs it
+//! and when; the pending pixels reach `locate_batch` in a
+//! scheduling-dependent order, but its per-point answers are
+//! order-independent; the pieces are sorted before they are merged; and
+//! the counters are sums.
 //!
 //! The payoff is reported, not assumed: [`HierarchicalStats`] carries
 //! the evaluated-pixel fraction (the `cells_evaluated / pixels` metric
 //! the perf harness trends).
 
 use crate::raster::{assert_window, pixel_center, PixelLabel, Raster, ReceptionMap};
-use sinr_core::engine::{filled_vec, Located, QueryEngine};
+use sinr_core::engine::{Located, QueryEngine, BATCH_TILE};
 use sinr_core::tile::{steal_tiles, CellCert, CellDecision};
-use sinr_core::Network;
+use sinr_core::{Network, StationId};
 use sinr_geometry::{BBox, Point};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Below this many pixels a region skips certification and goes straight
 /// to the batched per-pixel evaluation: a certificate costs at least a
@@ -93,16 +111,16 @@ pub struct HierarchicalStats {
     pub pixels: u64,
     /// Pixels answered by the backend's per-point paths
     /// (`locate_in_cell` against the enclosing certificate, or the
-    /// final `locate_batch`) because no cell-level certificate resolved
-    /// them wholesale — the cost driver, and the numerator of
-    /// [`HierarchicalStats::fraction`].
+    /// boundary pass's `locate_batch`) because no cell-level
+    /// certificate resolved them wholesale — the cost driver, and the
+    /// numerator of [`HierarchicalStats::fraction`].
     pub cells_evaluated: u64,
     /// Interval certificates computed during refinement.
     pub certificates: u64,
     /// Of [`HierarchicalStats::cells_evaluated`], pixels answered by the
     /// per-point certified path ([`QueryEngine::locate_in_cell`] against
     /// the enclosing cell's certificate, `O(candidates)` each); the
-    /// remainder went through the final `locate_batch`.
+    /// remainder went through the boundary pass's `locate_batch`.
     pub point_certified: u64,
     /// Pixels resolved wholesale by a certified uniform cell decision.
     pub certified_pixels: u64,
@@ -126,6 +144,64 @@ impl HierarchicalStats {
         } else {
             self.cells_evaluated as f64 / self.pixels as f64
         }
+    }
+}
+
+/// Pending pixels located per [`QueryEngine::locate_batch`] call in the
+/// boundary pass: large enough that the tiled executor sees full
+/// Morton tiles (a multiple of [`BATCH_TILE`]), small enough that the
+/// pass's point and answer buffers stay at 1 MiB however many pixels
+/// are pending.
+const BOUNDARY_CHUNK: usize = 64 * BATCH_TILE;
+
+/// A reception map as maximal row-major label runs, bottom row first —
+/// the product of [`hierarchical_map`].
+///
+/// Consecutive runs carry different labels (runs continue across row
+/// ends), every length is positive, and the lengths sum to
+/// `width · height`. The one exception is a run longer than `u32::MAX`
+/// pixels, which is split into `u32::MAX`-pixel pieces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReceptionRuns {
+    window: BBox,
+    width: usize,
+    height: usize,
+    runs: Vec<(PixelLabel, u32)>,
+}
+
+impl ReceptionRuns {
+    /// The sampling window.
+    pub fn window(&self) -> &BBox {
+        &self.window
+    }
+
+    /// Raster width in pixels.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Raster height in pixels.
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// The runs, row-major, bottom row first.
+    pub fn runs(&self) -> &[(PixelLabel, u32)] {
+        &self.runs
+    }
+
+    /// Consumes the map, returning its runs without a copy.
+    pub fn into_runs(self) -> Vec<(PixelLabel, u32)> {
+        self.runs
+    }
+
+    /// The dense raster these runs encode.
+    pub fn expand(&self) -> ReceptionMap {
+        let mut cells = Vec::with_capacity(self.width * self.height);
+        for &(label, len) in &self.runs {
+            cells.extend(std::iter::repeat_n(label, len as usize));
+        }
+        Raster::from_cells(self.window, self.width, self.height, cells)
     }
 }
 
@@ -161,6 +237,62 @@ impl Region {
     }
 }
 
+/// Columns `[c0, c1)` of one row, all labelled `label` (or, as a pending
+/// range, all still unresolved). 16 bytes: the label is packed
+/// ([`pack`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Piece {
+    row: u32,
+    c0: u32,
+    c1: u32,
+    label: u32,
+}
+
+impl Piece {
+    fn new(row: usize, c0: usize, c1: usize, label: PixelLabel) -> Piece {
+        Piece {
+            row: row as u32,
+            c0: c0 as u32,
+            c1: c1 as u32,
+            label: pack(label),
+        }
+    }
+}
+
+/// The packed label of silent pixels; any other value is a station
+/// index.
+const SILENT: u32 = u32::MAX;
+
+fn pack(label: PixelLabel) -> u32 {
+    match label {
+        PixelLabel::Silent => SILENT,
+        PixelLabel::Heard(i) => u32::try_from(i.0)
+            .ok()
+            .filter(|&code| code != SILENT)
+            .expect("station index must be below u32::MAX"),
+    }
+}
+
+fn unpack(code: u32) -> PixelLabel {
+    if code == SILENT {
+        PixelLabel::Silent
+    } else {
+        PixelLabel::Heard(StationId(code as usize))
+    }
+}
+
+/// Appends the pixel `(col, row)` to `pieces`, extending the last piece
+/// when the pixel continues it with the same label.
+fn push_pixel(pieces: &mut Vec<Piece>, col: usize, row: usize, label: PixelLabel) {
+    let piece = Piece::new(row, col, col + 1, label);
+    match pieces.last_mut() {
+        Some(last) if last.row == piece.row && last.c1 == piece.c0 && last.label == piece.label => {
+            last.c1 = piece.c1
+        }
+        _ => pieces.push(piece),
+    }
+}
+
 /// The read-only side of a refinement, shared by every worker.
 struct Grid<'a, E: ?Sized> {
     engine: &'a E,
@@ -175,28 +307,6 @@ impl<E: ?Sized> Grid<'_, E> {
     }
 }
 
-/// A writable rectangle of the label buffer: one slice per row, with
-/// `rows[0][0]` at pixel `(col0, row0)`. The serial levels write through
-/// a block spanning the whole raster; each parallel subtree owns a block
-/// spanning exactly its region, so workers write disjoint pixels.
-struct Block<'a> {
-    col0: usize,
-    row0: usize,
-    rows: Vec<&'a mut [PixelLabel]>,
-}
-
-impl Block<'_> {
-    fn set(&mut self, col: usize, row: usize, label: PixelLabel) {
-        self.rows[row - self.row0][col - self.col0] = label;
-    }
-
-    fn fill(&mut self, r: Region, label: PixelLabel) {
-        for row in r.r0..r.r1 {
-            self.rows[row - self.row0][r.c0 - self.col0..r.c1 - self.col0].fill(label);
-        }
-    }
-}
-
 /// A `Mixed` cell's child handed to the scheduler, with the certificate
 /// of the cell it came from.
 struct Subtree {
@@ -204,12 +314,14 @@ struct Subtree {
     parent: Arc<CellCert>,
 }
 
-/// One worker's scratch: what its regions left unresolved, and its
-/// counters. The serial levels use one too.
+/// One worker's scratch: the pieces its regions resolved, the row
+/// ranges they left unresolved, and its counters. The serial levels use
+/// one too.
 #[derive(Default)]
 struct Refiner {
-    /// Row-major indices of pixels no certificate resolved.
-    unresolved: Vec<usize>,
+    pieces: Vec<Piece>,
+    /// Unresolved row ranges (their `label` is a placeholder).
+    pending: Vec<Piece>,
     stats: HierarchicalStats,
 }
 
@@ -219,13 +331,12 @@ impl Refiner {
     fn refine<E: QueryEngine + ?Sized>(
         &mut self,
         grid: &Grid<E>,
-        block: &mut Block,
         region: Region,
         parent: Option<&CellCert>,
     ) {
-        if let Some(cert) = self.certify(grid, block, region, parent) {
+        if let Some(cert) = self.certify(grid, region, parent) {
             for child in region.children() {
-                self.refine(grid, block, child, Some(&cert));
+                self.refine(grid, child, Some(&cert));
             }
         }
     }
@@ -236,13 +347,12 @@ impl Refiner {
     fn split<E: QueryEngine + ?Sized>(
         &mut self,
         grid: &Grid<E>,
-        block: &mut Block,
         region: Region,
         parent: Option<&CellCert>,
         level: usize,
         subtrees: &mut Vec<Subtree>,
     ) {
-        let Some(cert) = self.certify(grid, block, region, parent) else {
+        let Some(cert) = self.certify(grid, region, parent) else {
             return;
         };
         if level + 1 >= SERIAL_LEVELS {
@@ -253,7 +363,7 @@ impl Refiner {
             }));
         } else {
             for child in region.children() {
-                self.split(grid, block, child, Some(&cert), level + 1, subtrees);
+                self.split(grid, child, Some(&cert), level + 1, subtrees);
             }
         }
     }
@@ -266,7 +376,6 @@ impl Refiner {
     fn certify<E: QueryEngine + ?Sized>(
         &mut self,
         grid: &Grid<E>,
-        block: &mut Block,
         region: Region,
         parent: Option<&CellCert>,
     ) -> Option<CellCert> {
@@ -275,7 +384,7 @@ impl Refiner {
             return None;
         }
         if count < MIN_CERT_PIXELS {
-            self.defer(grid, block, region, parent);
+            self.defer(grid, region, parent);
             return None;
         }
         // The certified box spans the pixel *centres* of the region —
@@ -284,8 +393,9 @@ impl Refiner {
         let lo = grid.center(region.c0, region.r0);
         let hi = grid.center(region.c1 - 1, region.r1 - 1);
         let Some(cert) = grid.engine.sinr_bounds_cell(lo, hi, parent) else {
-            // Certificate-less backend: dense-equivalent in one batch.
-            self.defer(grid, block, region, None);
+            // Certificate-less backend: every pixel goes to the
+            // boundary pass, dense-equivalent.
+            self.defer(grid, region, None);
             return None;
         };
         self.stats.certificates += 1;
@@ -294,7 +404,8 @@ impl Refiner {
             CellDecision::Silent => PixelLabel::Silent,
             CellDecision::Mixed => return Some(cert),
         };
-        block.fill(region, label);
+        self.pieces
+            .extend((region.r0..region.r1).map(|row| Piece::new(row, region.c0, region.c1, label)));
         self.stats.certified_pixels += count as u64;
         None
     }
@@ -302,15 +413,14 @@ impl Refiner {
     /// Resolves a sub-certificate-sized region per pixel against its
     /// containing cell's certificate (candidate-only certified
     /// decisions — every `Some` bit-identical to `locate_batch`),
-    /// queueing whatever the margins cannot pin for the final batch.
-    /// The per-pixel attempt matters: boundary pixels are spatially
-    /// scattered, so the final batch's Morton tiles span wide boxes and
-    /// prune poorly, while the certificate in hand already names the
-    /// few competitive stations.
+    /// leaving whatever the margins cannot pin pending for the boundary
+    /// pass. The per-pixel attempt matters: boundary pixels are
+    /// spatially scattered, so the boundary pass's Morton tiles span
+    /// wide boxes and prune poorly, while the certificate in hand
+    /// already names the few competitive stations.
     fn defer<E: QueryEngine + ?Sized>(
         &mut self,
         grid: &Grid<E>,
-        block: &mut Block,
         region: Region,
         parent: Option<&CellCert>,
     ) {
@@ -337,9 +447,9 @@ impl Refiner {
                                 Some(loc) => {
                                     self.stats.cells_evaluated += 1;
                                     self.stats.point_certified += 1;
-                                    block.set(col, row, label_of(loc));
+                                    push_pixel(&mut self.pieces, col, row, label_of(loc));
                                 }
-                                None => self.unresolved.push(row * grid.width + col),
+                                None => push_pixel(&mut self.pending, col, row, PixelLabel::Silent),
                             }
                             i += 1;
                         }
@@ -348,11 +458,8 @@ impl Refiner {
                 }
             }
         }
-        for row in r0..r1 {
-            for col in c0..c1 {
-                self.unresolved.push(row * grid.width + col);
-            }
-        }
+        self.pending
+            .extend((r0..r1).map(|row| Piece::new(row, c0, c1, PixelLabel::Silent)));
     }
 }
 
@@ -365,65 +472,131 @@ fn label_of(loc: Located) -> PixelLabel {
     }
 }
 
-/// Splits the label buffer into one [`Block`] per subtree. Subtrees are
-/// distinct quadtree cells of one level, hence pairwise disjoint, so
-/// every row splits into disjoint column segments in `c0` order.
-fn subtree_blocks<'a>(
-    cells: &'a mut [PixelLabel],
-    width: usize,
-    subtrees: &[Subtree],
-) -> Vec<Mutex<Block<'a>>> {
-    let mut blocks: Vec<Block> = subtrees
+/// The boundary pass: locates every pending pixel through the backend's
+/// own `locate_batch`, [`BOUNDARY_CHUNK`] pixels per call, and returns
+/// the answers as pieces.
+fn locate_pending<E: QueryEngine + ?Sized>(grid: &Grid<E>, pending: &[Vec<Piece>]) -> Vec<Piece> {
+    let mut pixels = pending
         .iter()
-        .map(|s| Block {
-            col0: s.region.c0,
-            row0: s.region.r0,
-            rows: Vec::with_capacity(s.region.r1 - s.region.r0),
-        })
-        .collect();
-    let mut by_col: Vec<usize> = (0..subtrees.len()).collect();
-    by_col.sort_by_key(|&t| subtrees[t].region.c0);
-    for (row, mut rest) in cells.chunks_mut(width).enumerate() {
-        let mut start = 0;
-        for &t in &by_col {
-            let r = subtrees[t].region;
-            if (r.r0..r.r1).contains(&row) {
-                let (_, tail) = std::mem::take(&mut rest).split_at_mut(r.c0 - start);
-                let (segment, tail) = tail.split_at_mut(r.c1 - r.c0);
-                blocks[t].rows.push(segment);
-                rest = tail;
-                start = r.c1;
+        .flatten()
+        .flat_map(|p| (p.c0..p.c1).map(move |col| (col as usize, p.row as usize)));
+    // Each pending range yields at least one piece.
+    let mut pieces = Vec::with_capacity(pending.iter().map(Vec::len).sum());
+    let mut centers = Vec::new();
+    let mut located = Vec::new();
+    loop {
+        centers.clear();
+        centers.extend(
+            pixels
+                .clone()
+                .take(BOUNDARY_CHUNK)
+                .map(|(col, row)| grid.center(col, row)),
+        );
+        if centers.is_empty() {
+            return pieces;
+        }
+        located.resize(centers.len(), Located::Silent);
+        grid.engine.locate_batch(&centers, &mut located);
+        for ((col, row), &loc) in pixels.by_ref().take(located.len()).zip(&located) {
+            push_pixel(&mut pieces, col, row, label_of(loc));
+        }
+    }
+}
+
+/// Sorts `pieces` by row in place — a counting sort — and returns the
+/// bucket bounds: row `r`'s pieces are `pieces[starts[r]..starts[r + 1]]`.
+fn bucket_by_row(height: usize, pieces: &mut [Piece]) -> Vec<usize> {
+    let mut starts = vec![0usize; height + 1];
+    for p in pieces.iter() {
+        starts[p.row as usize + 1] += 1;
+    }
+    for row in 0..height {
+        starts[row + 1] += starts[row];
+    }
+    // `next[row]` is the first slot of row's bucket not yet known to
+    // hold one of its pieces; every swap settles one piece in its
+    // bucket, so the sort is linear.
+    let mut next = starts[..height].to_vec();
+    for row in 0..height {
+        while next[row] < starts[row + 1] {
+            let home = pieces[next[row]].row as usize;
+            if home == row {
+                next[row] += 1;
+            } else {
+                pieces.swap(next[row], next[home]);
+                next[home] += 1;
             }
         }
     }
-    blocks.into_iter().map(Mutex::new).collect()
+    starts
+}
+
+/// Merges lists of pieces that together tile a `height`-row raster into
+/// maximal row-major runs: each list is bucketed by row in place, each
+/// row's pieces are gathered from every list and ordered by column, and
+/// equal neighbours merge, across row ends too. No list is copied
+/// whole.
+fn merge_pieces(height: usize, mut lists: Vec<Vec<Piece>>) -> Vec<(PixelLabel, u32)> {
+    let starts: Vec<Vec<usize>> = lists
+        .iter_mut()
+        .map(|list| bucket_by_row(height, list))
+        .collect();
+    let mut row = Vec::new();
+    let mut runs: Vec<(PixelLabel, u32)> = Vec::new();
+    for r in 0..height {
+        row.clear();
+        for (list, starts) in lists.iter().zip(&starts) {
+            row.extend_from_slice(&list[starts[r]..starts[r + 1]]);
+        }
+        row.sort_unstable_by_key(|p| p.c0);
+        for p in &row {
+            let label = unpack(p.label);
+            let mut len = p.c1 - p.c0;
+            if let Some((last, n)) = runs.last_mut() {
+                if *last == label {
+                    let more = len.min(u32::MAX - *n);
+                    *n += more;
+                    len -= more;
+                }
+            }
+            if len > 0 {
+                runs.push((label, len));
+            }
+        }
+    }
+    runs
 }
 
 /// Rasterises any [`QueryEngine`] backend over a window by quadtree
-/// refinement — the engine-generic worker behind
-/// [`ReceptionMap::compute_hierarchical`], with the same
+/// refinement into maximal row-major label runs — the engine-generic
+/// worker behind [`ReceptionMap::compute_hierarchical`], with the same
 /// [`Located`]-to-[`PixelLabel`] projection as
 /// [`ReceptionMap::compute_with_engine`] (uncertain pixels label
 /// silent).
 ///
-/// The raster is bit-identical to the dense
+/// [`ReceptionRuns::expand`] is bit-identical to the dense
 /// [`ReceptionMap::compute_with_engine`] on the same backend, on any
 /// number of cores; the returned [`HierarchicalStats`] reports how
 /// little of it was paid for per-pixel.
 ///
 /// # Panics
 ///
-/// Panics if either dimension is zero or the window is degenerate (zero
-/// width or height), exactly like the dense path.
+/// Panics if either dimension is zero or exceeds `u32::MAX`, or the
+/// window is degenerate (zero width or height), like the dense path;
+/// and if the engine answers a station index of `u32::MAX` or more.
 pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
     engine: &E,
     window: BBox,
     width: usize,
     height: usize,
-) -> (ReceptionMap, HierarchicalStats) {
+) -> (ReceptionRuns, HierarchicalStats) {
     assert!(
         width > 0 && height > 0,
         "raster dimensions must be positive"
+    );
+    assert!(
+        u32::try_from(width.max(height)).is_ok(),
+        "raster dimensions must fit u32"
     );
     assert_window(&window);
     let grid = Grid {
@@ -432,7 +605,6 @@ pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
         width,
         height,
     };
-    let mut cells = filled_vec(PixelLabel::Silent, width * height);
     let whole = Region {
         c0: 0,
         c1: width,
@@ -441,40 +613,36 @@ pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
     };
     let mut top = Refiner::default();
     let mut subtrees = Vec::new();
-    let mut block = Block {
-        col0: 0,
-        row0: 0,
-        rows: cells.chunks_mut(width).collect(),
-    };
-    top.split(&grid, &mut block, whole, None, 0, &mut subtrees);
-    drop(block);
-    let blocks = subtree_blocks(&mut cells, width, &subtrees);
+    top.split(&grid, whole, None, 0, &mut subtrees);
     let workers = steal_tiles::<Refiner, _>(subtrees.len(), |t, refiner| {
-        let mut block = blocks[t].lock().expect("a worker panicked mid-subtree");
         let subtree = &subtrees[t];
-        refiner.refine(&grid, &mut block, subtree.region, Some(&subtree.parent));
+        refiner.refine(&grid, subtree.region, Some(&subtree.parent));
     });
-    drop(blocks);
     let mut stats = top.stats;
-    let mut unresolved = top.unresolved;
+    let mut lists = vec![top.pieces];
+    let mut pending = vec![top.pending];
     for worker in workers {
         stats.absorb(&worker.stats);
-        unresolved.extend(worker.unresolved);
+        lists.push(worker.pieces);
+        pending.push(worker.pending);
     }
+    let pending_pixels: usize = pending
+        .iter()
+        .flatten()
+        .map(|p| (p.c1 - p.c0) as usize)
+        .sum();
     stats.pixels = (width * height) as u64;
-    stats.cells_evaluated += unresolved.len() as u64;
-    if !unresolved.is_empty() {
-        let centers: Vec<Point> = unresolved
-            .iter()
-            .map(|&idx| grid.center(idx % width, idx / width))
-            .collect();
-        let mut located = vec![Located::Silent; centers.len()];
-        engine.locate_batch(&centers, &mut located);
-        for (&idx, &loc) in unresolved.iter().zip(located.iter()) {
-            cells[idx] = label_of(loc);
-        }
-    }
-    (Raster::from_cells(window, width, height, cells), stats)
+    stats.cells_evaluated += pending_pixels as u64;
+    lists.push(locate_pending(&grid, &pending));
+    drop(pending);
+    let runs = merge_pieces(height, lists);
+    let map = ReceptionRuns {
+        window,
+        width,
+        height,
+        runs,
+    };
+    (map, stats)
 }
 
 impl ReceptionMap {
@@ -485,14 +653,15 @@ impl ReceptionMap {
     /// *boundary length*, not window *area*, on megapixel grids.
     ///
     /// The pixels are bit-identical to [`ReceptionMap::compute`] on the
-    /// same network; the stats report the evaluated fraction.
+    /// same network; the stats report the evaluated fraction. This is
+    /// [`hierarchical_map`] followed by [`ReceptionRuns::expand`].
     pub fn compute_hierarchical(
         net: &Network,
         window: BBox,
         width: usize,
         height: usize,
     ) -> (Self, HierarchicalStats) {
-        hierarchical_map(&net.query_engine(), window, width, height)
+        ReceptionMap::compute_hierarchical_with_engine(&net.query_engine(), window, width, height)
     }
 
     /// [`ReceptionMap::compute_hierarchical`] through a caller-supplied
@@ -504,7 +673,8 @@ impl ReceptionMap {
         width: usize,
         height: usize,
     ) -> (Self, HierarchicalStats) {
-        hierarchical_map(engine, window, width, height)
+        let (runs, stats) = hierarchical_map(engine, window, width, height);
+        (runs.expand(), stats)
     }
 }
 
@@ -532,6 +702,31 @@ mod tests {
             "refinement should certify most pixels, evaluated fraction {}",
             stats.fraction()
         );
+    }
+
+    #[test]
+    fn merge_sorts_pieces_and_splits_overlong_runs() {
+        let heard = PixelLabel::Heard(StationId(3));
+        // A 5×3 raster's pieces, scrambled across two lists: rows 0
+        // and 2 are one silent run across the row end, row 1 is split
+        // in two.
+        let first = vec![
+            Piece::new(2, 3, 5, PixelLabel::Silent),
+            Piece::new(1, 2, 5, heard),
+        ];
+        let second = vec![
+            Piece::new(0, 0, 5, PixelLabel::Silent),
+            Piece::new(2, 0, 3, PixelLabel::Silent),
+            Piece::new(1, 0, 2, PixelLabel::Silent),
+        ];
+        assert_eq!(
+            merge_pieces(3, vec![first, second]),
+            vec![(PixelLabel::Silent, 7), (heard, 3), (PixelLabel::Silent, 5)]
+        );
+        // A run longer than `u32::MAX` pixels splits; it does not wrap.
+        let wide = u32::MAX as usize;
+        let pieces = vec![Piece::new(1, 0, wide, heard), Piece::new(0, 0, wide, heard)];
+        assert_eq!(merge_pieces(2, vec![pieces]), vec![(heard, u32::MAX); 2]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`ReceptionMap::compute`] reproduces exactly that on top of the
 //! batched query engine of `sinr_core`: all pixel centres are collected
 //! once and answered through
-//! [`QueryEngine::locate_batch`](sinr_core::QueryEngine::locate_batch) —
+//! [`QueryEngine::locate_batch`] —
 //! work-stolen across cores, with the Observation 2.2 nearest-station
 //! dispatch for uniform power networks. Any backend works; see
 //! [`locate_raster`].
@@ -142,12 +142,6 @@ impl<T> Raster<T> {
             height,
             cells,
         }
-    }
-
-    /// Consumes the raster, returning its row-major cells (bottom row
-    /// first) — the inverse of [`Raster::from_cells`], without a copy.
-    pub fn into_cells(self) -> Vec<T> {
-        self.cells
     }
 }
 
@@ -302,35 +296,6 @@ mod tests {
 
     fn net2() -> Network {
         Network::uniform(vec![Point::new(-2.0, 0.0), Point::new(2.0, 0.0)], 0.0, 2.0).unwrap()
-    }
-
-    #[test]
-    fn into_cells_maps_in_place() {
-        // The server turns a `ReceptionMap` into its `Located` response
-        // cells by mapping the raster's own buffer; that reuses the
-        // allocation only while the two label types share a layout.
-        assert_eq!(
-            std::mem::size_of::<PixelLabel>(),
-            std::mem::size_of::<Located>()
-        );
-        assert_eq!(
-            std::mem::align_of::<PixelLabel>(),
-            std::mem::align_of::<Located>()
-        );
-        let map = ReceptionMap::compute(&net2(), BBox::centered_square(4.0), 8, 4);
-        let expected: Vec<Option<StationId>> = map.iter().map(|(_, _, l)| l.station()).collect();
-        let cells = map.into_cells();
-        let buffer = cells.as_ptr() as usize;
-        let located: Vec<Located> = cells
-            .into_iter()
-            .map(|l| match l {
-                PixelLabel::Heard(i) => Located::Reception(i),
-                PixelLabel::Silent => Located::Silent,
-            })
-            .collect();
-        assert_eq!(located.as_ptr() as usize, buffer, "collect reallocated");
-        let stations: Vec<Option<StationId>> = located.iter().map(Located::station).collect();
-        assert_eq!(stations, expected);
     }
 
     #[test]

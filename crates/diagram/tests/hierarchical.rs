@@ -17,6 +17,7 @@ use rand::{Rng, SeedableRng};
 use sinr_core::engine::{BoxedEngine, ExactScan, QueryEngine, VoronoiAssisted};
 use sinr_core::simd::{SimdKernel, SimdScan};
 use sinr_core::{gen, Network, SinrEvaluator, StationId};
+use sinr_diagram::quadtree::hierarchical_map;
 use sinr_diagram::ReceptionMap;
 use sinr_geometry::{BBox, Point};
 use sinr_pointloc::{PointLocator, QdsConfig};
@@ -358,4 +359,104 @@ proptest! {
         prop_assert_eq!(dense, hier);
         prop_assert_eq!(stats.cells_evaluated + stats.certified_pixels, stats.pixels);
     }
+}
+
+/// Checks what `hierarchical_map` promises of its runs on one backend:
+/// every length positive, no two neighbouring runs with one label, the
+/// lengths summing to `width × height`, and `expand()` equal to the
+/// dense raster — with the same stats the expanded entry point reports.
+fn assert_runs_invariants<E: QueryEngine + Sync + ?Sized>(
+    engine: &E,
+    window: BBox,
+    width: usize,
+    height: usize,
+    tag: &str,
+) {
+    let (map, stats) = hierarchical_map(engine, window, width, height);
+    assert_eq!((map.width(), map.height()), (width, height), "{tag}");
+    assert_eq!(map.window(), &window, "{tag}");
+    let runs = map.runs();
+    assert!(runs.iter().all(|&(_, len)| len > 0), "{tag}: empty run");
+    assert!(
+        runs.windows(2).all(|w| w[0].0 != w[1].0),
+        "{tag}: neighbouring runs share a label"
+    );
+    let total: u64 = runs.iter().map(|&(_, len)| u64::from(len)).sum();
+    assert_eq!(total, (width * height) as u64, "{tag}: run lengths");
+    let dense = ReceptionMap::compute_with_engine(engine, window, width, height);
+    assert_eq!(map.expand(), dense, "{tag}: expand() ≠ dense");
+    let (_, expanded_stats) =
+        ReceptionMap::compute_hierarchical_with_engine(engine, window, width, height);
+    assert_eq!(stats, expanded_stats, "{tag}: stats");
+}
+
+/// The runs' invariants on every backend and kernel plus the Theorem-3
+/// locator, over uniform and non-uniform networks, square and skewed
+/// rasters and a 1-wide strip.
+#[test]
+fn runs_are_maximal_and_expand_to_dense_on_every_backend() {
+    let nets = [
+        (
+            "uniform-beta2",
+            gen::random_uniform_network(3, 150, 10.0, 0.0, 2.0).unwrap(),
+        ),
+        (
+            "uniform-small",
+            gen::random_uniform_network(21, 6, 6.0, 0.01, 1.5).unwrap(),
+        ),
+        (
+            "nonuniform",
+            Network::builder()
+                .station_with_power(Point::new(0.0, 0.0), 4.0)
+                .station(Point::new(3.0, 0.0))
+                .station_with_power(Point::new(-1.0, 4.0), 0.5)
+                .station_with_power(Point::new(2.0, -3.0), 1.5)
+                .background_noise(0.01)
+                .threshold(1.5)
+                .build()
+                .unwrap(),
+        ),
+    ];
+    let skewed = BBox::new(Point::new(-7.0, -2.0), Point::new(5.0, 3.0));
+    for (tag, net) in &nets {
+        let qds = locator(net);
+        for (window, width, height) in [
+            (BBox::centered_square(9.0), 96, 96),
+            (skewed, 60, 33),
+            (BBox::centered_square(9.0), 1, 300),
+            (BBox::centered_square(9.0), 300, 1),
+        ] {
+            let tag = format!("{tag} {width}×{height}");
+            for (name, engine) in backends(net) {
+                assert_runs_invariants(
+                    engine.as_ref(),
+                    window,
+                    width,
+                    height,
+                    &format!("{tag} {name}"),
+                );
+            }
+            if let Some(qds) = &qds {
+                assert_runs_invariants(qds, window, width, height, &format!("{tag} Qds"));
+            }
+        }
+    }
+}
+
+/// The boundary pass locates pending pixels in chunks of 32 Ki points
+/// per `locate_batch`. The Theorem-3 locator certifies nothing, so every
+/// pixel is pending: a grid of several chunks takes more than one batch,
+/// and the runs must still be maximal and expand to the dense raster.
+#[test]
+fn qds_runs_span_several_boundary_chunks() {
+    const CHUNK: usize = 32 * 1024;
+    let net = gen::random_uniform_network(21, 6, 6.0, 0.01, 1.5).unwrap();
+    let qds = locator(&net).expect("the locator leg must run");
+    let (width, height) = (320, 250);
+    assert!(width * height > 2 * CHUNK);
+    let window = BBox::centered_square(9.0);
+    assert_runs_invariants(&qds, window, width, height, "qds chunks");
+    let (_, stats) = hierarchical_map(&qds, window, width, height);
+    assert_eq!(stats.cells_evaluated, (width * height) as u64);
+    assert_eq!(stats.certified_pixels, 0);
 }

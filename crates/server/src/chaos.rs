@@ -17,7 +17,7 @@
 //! * over a [`TcpStream`]: `IoTransport::new(ChaosStream::new(stream,
 //!   cfg))` — a chaotic blocking client against a real server (the
 //!   [`ChaosTransport`] alias; the chaos e2e fleets use exactly this);
-//! * over a [`PipeStream`](crate::transport::PipeStream): the same,
+//! * over a [`PipeStream`]: the same,
 //!   loopback-free — every byte-split of a frame exercised with zero
 //!   kernel involvement (the protocol-fuzz chaos suites);
 //! * under a [`PolledIo`](crate::transport::PolledIo):

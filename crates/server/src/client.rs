@@ -14,8 +14,8 @@
 //! without kernel sockets.
 
 use crate::protocol::{
-    decode_response, encode_request, BackendId, ErrorCode, NetworkSpec, ProtocolError, Request,
-    Response,
+    decode_response, decode_response_runs, encode_request, expand_runs, BackendId, ErrorCode,
+    LocatedRuns, NetworkSpec, ProtocolError, Request, Response,
 };
 use crate::session::serve_session;
 use crate::transport::{
@@ -463,9 +463,12 @@ impl<T: Transport> Client<T> {
     /// (interval-certified quadtree) refinement — answers are
     /// bit-identical to locating every pixel centre, but the server
     /// pays per-point evaluation only near the zone boundaries.
-    /// Returns the revision, one [`Located`] per pixel (bottom-first
-    /// row-major: `cells[row * width + col]`), and how many pixels the
-    /// server actually evaluated per-point (the economy observable).
+    /// Returns the revision, the pixels as the `(answer, length)` runs
+    /// the server sent (bottom-first row-major, continuing across row
+    /// ends; [`expand_runs`] gives one [`Located`] per pixel), and how
+    /// many pixels the server actually evaluated per-point (the economy
+    /// observable). Memory grows with the run count, not with the
+    /// pixel count.
     ///
     /// # Errors
     ///
@@ -477,6 +480,37 @@ impl<T: Transport> Client<T> {
     /// rasters compress to a handful of runs, so this only triggers on
     /// genuinely fragmented diagrams), [`ErrorCode::NotBound`] /
     /// [`ErrorCode::Stale`], or any transport failure.
+    pub fn heatmap_runs(
+        &mut self,
+        min: Point,
+        max: Point,
+        width: u32,
+        height: u32,
+    ) -> Result<(u64, LocatedRuns, u64), ClientError> {
+        self.transport
+            .send_frame(&encode_request(&Request::HeatmapBatch {
+                min,
+                max,
+                width,
+                height,
+            }))?;
+        match self.recv_with(decode_response_runs)? {
+            Response::HeatmapRuns {
+                revision,
+                runs,
+                cells_evaluated,
+                ..
+            } => Ok((revision, runs, cells_evaluated)),
+            other => Err(unexpected(other, "Heatmap")),
+        }
+    }
+
+    /// [`Client::heatmap_runs`] expanded to one [`Located`] per pixel
+    /// (bottom-first row-major: `cells[row * width + col]`).
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::heatmap_runs`].
     pub fn heatmap_batch(
         &mut self,
         min: Point,
@@ -484,20 +518,8 @@ impl<T: Transport> Client<T> {
         width: u32,
         height: u32,
     ) -> Result<(u64, Vec<Located>, u64), ClientError> {
-        match self.roundtrip(&Request::HeatmapBatch {
-            min,
-            max,
-            width,
-            height,
-        })? {
-            Response::Heatmap {
-                revision,
-                cells,
-                cells_evaluated,
-                ..
-            } => Ok((revision, cells, cells_evaluated)),
-            other => Err(unexpected(other, "Heatmap")),
-        }
+        let (revision, runs, cells_evaluated) = self.heatmap_runs(min, max, width, height)?;
+        Ok((revision, expand_runs(&runs), cells_evaluated))
     }
 
     /// Removes the network registered under `name`, provided no session
@@ -548,11 +570,19 @@ impl<T: Transport> Client<T> {
     /// Transport failures, [`ClientError::ConnectionClosed`] on EOF,
     /// undecodable responses.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
+        self.recv_with(decode_response)
+    }
+
+    /// [`Client::recv`] through the given response decoder.
+    fn recv_with(
+        &mut self,
+        decode: fn(&[u8]) -> Result<Response, ProtocolError>,
+    ) -> Result<Response, ClientError> {
         let payload = self
             .transport
             .recv_frame()?
             .ok_or(ClientError::ConnectionClosed)?;
-        match decode_response(&payload)? {
+        match decode(&payload)? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             response => Ok(response),
         }

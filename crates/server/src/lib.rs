@@ -81,9 +81,13 @@
 //! every pixel centre, but per-point evaluation is paid only near the
 //! zone boundaries, and `cells_evaluated` reports exactly how many
 //! pixels paid it. Pixels are `Located` runs in bottom-first row-major
-//! order (`cells[row * width + col]`); uncertain pixels are the
-//! backend's own `Uncertain` answers, exactly as a `LocateBatch` of the
-//! pixel centres would produce. Grids over
+//! order (`cells[row * width + col]` once expanded), maximal and
+//! continuing across row ends; uncertain answers label silent, as in
+//! `sinr-diagram`'s reception maps. The server builds the runs straight
+//! from the refinement and never holds a dense raster; clients decode
+//! the runs ([`Client::heatmap_runs`](client::Client::heatmap_runs)) or
+//! their dense expansion
+//! ([`Client::heatmap_batch`](client::Client::heatmap_batch)). Grids over
 //! [`protocol::MAX_HEATMAP_PIXELS`] (or whose `width × height`
 //! overflows) are refused with code `1` before any computation; a grid
 //! under the pixel cap whose *actual* run-length encoding still cannot
@@ -241,8 +245,8 @@ pub mod transport;
 pub use chaos::{ChaosConfig, ChaosRng, ChaosStream, ChaosTransport, CutKind};
 pub use client::{serve_in_process, Client, ClientError, PIPELINE_REQUEST_BUDGET};
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, BackendId, ErrorCode,
-    NetworkSpec, ProtocolError, Request, Response,
+    decode_request, decode_response, decode_response_runs, encode_request, encode_response,
+    expand_runs, BackendId, ErrorCode, LocatedRuns, NetworkSpec, ProtocolError, Request, Response,
 };
 pub use registry::{AttachGuard, AttachHandle, NamedNetwork, NetworkRegistry, UnregisterError};
 pub use resilient::{ResilientClient, RetryPolicy};

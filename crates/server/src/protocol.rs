@@ -351,9 +351,12 @@ pub enum Response {
         /// point `k`.
         values: Vec<f64>,
     },
-    /// Answers to a `HeatmapBatch`: one label per pixel, row-major
-    /// bottom-first, run-length encoded on the wire (zones are
-    /// contiguous, so rasters compress extremely well).
+    /// Answers to a `HeatmapBatch`, expanded to one label per pixel,
+    /// row-major bottom-first — what [`decode_response`] yields for a
+    /// heatmap frame. On the wire a heatmap is run-length encoded (zones
+    /// are contiguous, so rasters compress extremely well);
+    /// [`Response::HeatmapRuns`] is the same frame as runs, and both
+    /// encode to the same bytes.
     Heatmap {
         /// The revision the raster is valid for.
         revision: u64,
@@ -370,6 +373,25 @@ pub enum Response {
         /// `Reception`/`Silent` labels; `Uncertain` never occurs (the
         /// raster projection folds it into `Silent` server-side).
         cells: Vec<Located>,
+    },
+    /// Answers to a `HeatmapBatch` as the runs on the wire — what the
+    /// session serves (it never holds a dense raster) and what
+    /// [`decode_response_runs`] yields for a heatmap frame. Encodes to
+    /// exactly the bytes of the [`Response::Heatmap`] the runs expand
+    /// to ([`expand_runs`]), provided they are maximal.
+    HeatmapRuns {
+        /// The revision the raster is valid for.
+        revision: u64,
+        /// Raster width in pixels (echoes the request).
+        width: u32,
+        /// Raster height in pixels (echoes the request).
+        height: u32,
+        /// As in [`Response::Heatmap`].
+        cells_evaluated: u64,
+        /// `(label, length)` runs, row-major bottom-first, continuing
+        /// across row ends; lengths are positive and sum to
+        /// `width · height`.
+        runs: LocatedRuns,
     },
     /// The network was removed from the registry
     /// ([`Request::Unregister`]).
@@ -732,83 +754,95 @@ fn push_point(buf: &mut Vec<u8>, p: Point) {
 
 /// Pixel cap on a heatmap grid (16 Mi pixels — a 4096×4096 raster).
 ///
-/// This bounds the *dense* cost of a heatmap on both sides of the wire
-/// — the raster the session rasterises and the `Located` vector the
-/// client materialises on decode — independently of how small the
-/// run-length encoding turns out. Whether the *encoded* response fits a
-/// frame is a separate check the session makes against the real run
-/// count ([`run_count`]): a near-uniform 2048² map is a few KB of runs
-/// and round-trips fine, while a worst-case checkerboard of the same
-/// size is refused as oversized only because it genuinely is.
+/// The server never materialises a dense raster (it rasterises and
+/// encodes run by run), so this bounds only the *dense* `Located`
+/// vector a client materialises when it decodes a heatmap frame with
+/// [`decode_response`] — independently of how small the run-length
+/// encoding turns out. The session refuses requests over the cap before
+/// computing anything, so every served heatmap decodes densely. Whether
+/// the *encoded* response fits a frame is a separate check the session
+/// makes against the real run count: a near-uniform 2048² map is a few
+/// KB of runs and round-trips fine, while a worst-case checkerboard of
+/// the same size is refused as oversized only because it genuinely is.
 pub const MAX_HEATMAP_PIXELS: u64 = 16 * 1024 * 1024;
 
-/// Run-length encodes a `Located` stream (shared by `Located` and
-/// `Heatmap` responses): each run is a kind byte, a station id, and a
-/// length — 9 bytes for any stretch of identical answers.
-fn push_runs(buf: &mut Vec<u8>, answers: &[Located]) {
-    let mut i = 0;
-    while i < answers.len() {
-        let mut j = i + 1;
-        while j < answers.len() && answers[j] == answers[i] {
-            j += 1;
-        }
-        let (kind, station) = match answers[i] {
+/// `(answer, length)` runs of a `Located` stream, in order — what a
+/// heatmap frame carries ([`Response::HeatmapRuns`]).
+pub type LocatedRuns = Vec<(Located, u32)>;
+
+/// The maximal runs of a dense `Located` stream, in order.
+fn dense_runs(answers: &[Located]) -> impl Iterator<Item = (Located, u32)> + '_ {
+    answers
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u32))
+}
+
+/// The run encoder, shared by `Located` responses, dense `Heatmap`
+/// responses and served `HeatmapRuns`: each run is a kind byte, a
+/// station id, and a length — 9 bytes for any stretch of identical
+/// answers. Runs are written as given, so the frame is exactly
+/// `9 × runs` bytes of them.
+fn push_runs(buf: &mut Vec<u8>, runs: impl IntoIterator<Item = (Located, u32)>) {
+    for (answer, len) in runs {
+        let (kind, station) = match answer {
             Located::Reception(s) => (RUN_RECEPTION, s.0 as u32),
             Located::Uncertain(s) => (RUN_UNCERTAIN, s.0 as u32),
             Located::Silent => (RUN_SILENT, 0),
         };
         buf.push(kind);
         buf.extend_from_slice(&station.to_le_bytes());
-        buf.extend_from_slice(&((j - i) as u32).to_le_bytes());
-        i = j;
+        buf.extend_from_slice(&len.to_le_bytes());
     }
 }
 
-/// The number of runs [`push_runs`] would emit for `answers` — the
-/// exact encoded length is `9 × run_count` bytes. Lets the session
-/// check a response's real wire size against the frame limit *before*
-/// encoding (and refuse with a typed error instead of dying on
-/// `send_frame`'s length check).
-pub(crate) fn run_count(answers: &[Located]) -> usize {
-    let mut runs = 0;
-    let mut i = 0;
-    while i < answers.len() {
-        let mut j = i + 1;
-        while j < answers.len() && answers[j] == answers[i] {
-            j += 1;
-        }
-        runs += 1;
-        i = j;
-    }
-    runs
-}
-
-/// Decodes exactly `total` run-length encoded answers. The caller must
-/// have bounded `total` already (run-length coding sidesteps the
-/// bytes-present bound `Cursor::count` gives other collections).
-fn decode_runs(c: &mut Cursor<'_>, total: u64) -> Result<Vec<Located>, ProtocolError> {
-    let mut answers = Vec::new();
+/// The one run decoder: reads runs summing to exactly `total` answers
+/// and hands each to `emit`, as sent (non-maximal runs included). A
+/// zero-length run, runs overshooting `total`, or a frame that ends on
+/// a run boundary short of `total` is a
+/// [`ProtocolError::RunLengthMismatch`]. The caller must have bounded
+/// `total` already (run-length coding sidesteps the bytes-present bound
+/// `Cursor::count` gives other collections).
+fn decode_runs(
+    c: &mut Cursor<'_>,
+    total: u64,
+    mut emit: impl FnMut(Located, u32),
+) -> Result<(), ProtocolError> {
     let mut decoded: u64 = 0;
     while decoded < total {
+        if c.remaining() == 0 {
+            return Err(ProtocolError::RunLengthMismatch {
+                declared: total,
+                decoded,
+            });
+        }
         let kind = c.u8("run kind")?;
         let station = c.u32("run station")? as usize;
-        let len = c.u32("run length")? as u64;
+        let len = c.u32("run length")?;
         let answer = match kind {
             RUN_RECEPTION => Located::Reception(StationId(station)),
             RUN_UNCERTAIN => Located::Uncertain(StationId(station)),
             RUN_SILENT => Located::Silent,
             other => return Err(ProtocolError::UnknownRunKind(other)),
         };
-        decoded = decoded.saturating_add(len);
+        decoded = decoded.saturating_add(u64::from(len));
         if len == 0 || decoded > total {
             return Err(ProtocolError::RunLengthMismatch {
                 declared: total,
                 decoded,
             });
         }
+        emit(answer, len);
+    }
+    Ok(())
+}
+
+/// The dense answers `(answer, length)` runs encode.
+pub fn expand_runs(runs: &[(Located, u32)]) -> Vec<Located> {
+    let mut answers = Vec::with_capacity(runs.iter().map(|&(_, len)| len as usize).sum());
+    for &(answer, len) in runs {
         answers.extend(std::iter::repeat_n(answer, len as usize));
     }
-    Ok(answers)
+    answers
 }
 
 /// Encodes a registry name: a length byte, then that many UTF-8 bytes.
@@ -1193,7 +1227,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             buf.push(TAG_LOCATED);
             buf.extend_from_slice(&revision.to_le_bytes());
             buf.extend_from_slice(&(answers.len() as u32).to_le_bytes());
-            push_runs(&mut buf, answers);
+            push_runs(&mut buf, dense_runs(answers));
         }
         Response::Sinrs { revision, values } => {
             buf.push(TAG_SINRS);
@@ -1245,12 +1279,18 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             cells_evaluated,
             cells,
         } => {
-            buf.push(TAG_HEATMAP);
-            buf.extend_from_slice(&revision.to_le_bytes());
-            buf.extend_from_slice(&width.to_le_bytes());
-            buf.extend_from_slice(&height.to_le_bytes());
-            buf.extend_from_slice(&cells_evaluated.to_le_bytes());
-            push_runs(&mut buf, cells);
+            push_heatmap_header(&mut buf, *revision, *width, *height, *cells_evaluated);
+            push_runs(&mut buf, dense_runs(cells));
+        }
+        Response::HeatmapRuns {
+            revision,
+            width,
+            height,
+            cells_evaluated,
+            runs,
+        } => {
+            push_heatmap_header(&mut buf, *revision, *width, *height, *cells_evaluated);
+            push_runs(&mut buf, runs.iter().copied());
         }
         Response::Unregistered => {
             buf.push(TAG_UNREGISTERED);
@@ -1272,12 +1312,52 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     buf
 }
 
-/// Decodes a frame payload as a response.
+/// The 25 bytes of a `Heatmap` frame ahead of its runs: tag, revision,
+/// grid dimensions and `cells_evaluated`.
+fn push_heatmap_header(buf: &mut Vec<u8>, revision: u64, width: u32, height: u32, evaluated: u64) {
+    buf.push(TAG_HEATMAP);
+    buf.extend_from_slice(&revision.to_le_bytes());
+    buf.extend_from_slice(&width.to_le_bytes());
+    buf.extend_from_slice(&height.to_le_bytes());
+    buf.extend_from_slice(&evaluated.to_le_bytes());
+}
+
+/// Decodes a frame payload as a response; a heatmap frame becomes a
+/// dense [`Response::Heatmap`] — [`decode_response_runs`] followed by
+/// [`expand_runs`].
+///
+/// # Errors
+///
+/// A typed [`ProtocolError`]; never panics, never over-allocates (a
+/// heatmap expands to at most [`MAX_HEATMAP_PIXELS`] answers).
+pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
+    Ok(match decode_response_runs(payload)? {
+        Response::HeatmapRuns {
+            revision,
+            width,
+            height,
+            cells_evaluated,
+            runs,
+        } => Response::Heatmap {
+            revision,
+            width,
+            height,
+            cells_evaluated,
+            cells: expand_runs(&runs),
+        },
+        other => other,
+    })
+}
+
+/// Decodes a frame payload as a response, a heatmap frame as its
+/// [`Response::HeatmapRuns`] (runs as sent, never expanded). Accepts
+/// and rejects exactly the payloads [`decode_response`] does, with the
+/// same errors.
 ///
 /// # Errors
 ///
 /// A typed [`ProtocolError`]; never panics, never over-allocates.
-pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
+pub fn decode_response_runs(payload: &[u8]) -> Result<Response, ProtocolError> {
     let mut c = Cursor::new(payload);
     let tag = c.u8("frame tag").map_err(|_| ProtocolError::EmptyFrame)?;
     let resp = match tag {
@@ -1303,7 +1383,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
                     limit,
                 });
             }
-            let answers = decode_runs(&mut c, total)?;
+            let mut answers = Vec::new();
+            decode_runs(&mut c, total, |answer, len| {
+                answers.extend(std::iter::repeat_n(answer, len as usize))
+            })?;
             Response::Located { revision, answers }
         }
         TAG_SINRS => {
@@ -1362,20 +1445,21 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             // collections get from `Cursor::count` (one 9-byte run can
             // claim 2³² answers), so the dense answer count is capped
             // explicitly at the grid pixel cap the session enforces on
-            // requests — the decode-side allocation bound.
+            // requests — the allocation bound of a dense decode.
             if total > MAX_HEATMAP_PIXELS {
                 return Err(ProtocolError::AnswerCountTooLarge {
                     declared: total,
                     limit: MAX_HEATMAP_PIXELS,
                 });
             }
-            let cells = decode_runs(&mut c, total)?;
-            Response::Heatmap {
+            let mut runs = Vec::new();
+            decode_runs(&mut c, total, |answer, len| runs.push((answer, len)))?;
+            Response::HeatmapRuns {
                 revision,
                 width,
                 height,
                 cells_evaluated,
-                cells,
+                runs,
             }
         }
         TAG_UNREGISTERED => Response::Unregistered,
@@ -1611,10 +1695,10 @@ mod tests {
     }
 
     #[test]
-    fn run_count_predicts_encoded_heatmap_length() {
-        // The session's pre-send size check relies on `run_count`
-        // agreeing byte-for-byte with what `push_runs` will emit:
-        // 25 header bytes + 9 per run.
+    fn heatmap_frame_length_is_25_plus_9_per_run() {
+        // The session's pre-send size check is `25 + 9 × runs.len()`:
+        // header bytes plus 9 per run. The served runs and the dense
+        // form they expand to must encode to the same bytes.
         let mut cells = Vec::new();
         for k in 0..1000usize {
             let answer = match k % 3 {
@@ -1627,17 +1711,26 @@ mod tests {
                 cells.push(answer);
             }
         }
-        let runs = run_count(&cells);
-        let bytes = encode_response(&Response::Heatmap {
+        let runs: Vec<(Located, u32)> = dense_runs(&cells).collect();
+        assert_eq!(expand_runs(&runs), cells);
+        let served = encode_response(&Response::HeatmapRuns {
             revision: 5,
             width: cells.len() as u32,
             height: 1,
             cells_evaluated: 0,
-            cells: cells.clone(),
+            runs: runs.clone(),
         });
-        assert_eq!(bytes.len(), 25 + 9 * runs);
-        assert_eq!(run_count(&[]), 0);
-        assert_eq!(run_count(&vec![Located::Silent; 10_000]), 1);
+        assert_eq!(served.len(), 25 + 9 * runs.len());
+        let dense = encode_response(&Response::Heatmap {
+            revision: 5,
+            width: cells.len() as u32,
+            height: 1,
+            cells_evaluated: 0,
+            cells,
+        });
+        assert_eq!(served, dense);
+        assert_eq!(dense_runs(&[]).count(), 0);
+        assert_eq!(dense_runs(&vec![Located::Silent; 10_000]).count(), 1);
     }
 
     #[test]

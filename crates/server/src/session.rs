@@ -21,7 +21,7 @@
 //!   on the old snapshot, which frees when released).
 //!
 //! `Register` works in any mode and does not change the session's mode.
-//! The five query frames resolve the session into one [`QueryView`]
+//! The five query frames resolve the session into one `QueryView`
 //! (engine, station count, backend) and are answered by one code path;
 //! `Mutate` has one arm, over [`NamedNetwork::mutate`].
 //!
@@ -419,9 +419,10 @@ fn locate_on(engine: &BoxedEngine, points: &[Point]) -> Response {
 /// the window by hierarchical (interval-certified quadtree) refinement,
 /// whose subtrees refine in parallel — bit-identical to a dense
 /// per-pixel sweep, but paying per-point evaluation only near the zone
-/// boundaries. The raster's buffer becomes the response's `cells`
-/// (rows bottom-first, row-major, as [`Located`]) in place, so the
-/// handler holds one dense copy of the grid, not two.
+/// boundaries. Refinement yields maximal row-major label runs, and the
+/// response carries them as they are ([`Response::HeatmapRuns`]), so
+/// the handler never holds a dense raster: its memory grows with the
+/// run count, not with the pixel count.
 fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: u32) -> Response {
     if width == 0
         || height == 0
@@ -442,9 +443,8 @@ fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: 
     }
     // Cheap pre-compute screen only: the grid's *dense* pixel count
     // must be representable and within the protocol's pixel cap (the
-    // bound on the raster this handler materialises and on the client's
-    // decode allocation). Whether the *response* fits one frame is
-    // decided below against the real run-length encoding — a raster's
+    // bound on a client's dense decode). Whether the *response* fits one
+    // frame is decided below against the real run count — a raster's
     // wire size depends on how uniform it is, not on its pixel count,
     // so a mostly-uniform 2048² map (a few KB of runs) is served rather
     // than refused on its 9-bytes-per-pixel worst case.
@@ -461,27 +461,21 @@ fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: 
         return error(ErrorCode::Stale, e.to_string());
     }
     let window = sinr_geometry::BBox::new(min, max);
-    let (map, stats) = sinr_diagram::ReceptionMap::compute_hierarchical_with_engine(
-        engine,
-        window,
-        width as usize,
-        height as usize,
-    );
-    // Same row-major, bottom-first layout as the raster. `PixelLabel`
-    // and `Located` have the same size and alignment, so this collect
-    // maps the raster's own buffer in place instead of allocating a
-    // second dense copy.
-    let answers: Vec<Located> = map
-        .into_cells()
+    let (map, stats) =
+        sinr_diagram::quadtree::hierarchical_map(engine, window, width as usize, height as usize);
+    // `(PixelLabel, u32)` and `(Located, u32)` have the same layout, so
+    // this collect maps the runs' own buffer in place.
+    let runs: crate::protocol::LocatedRuns = map
+        .into_runs()
         .into_iter()
-        .map(|label| match label {
-            sinr_diagram::PixelLabel::Heard(i) => Located::Reception(i),
-            sinr_diagram::PixelLabel::Silent => Located::Silent,
+        .map(|(label, len)| match label {
+            sinr_diagram::PixelLabel::Heard(i) => (Located::Reception(i), len),
+            sinr_diagram::PixelLabel::Silent => (Located::Silent, len),
         })
         .collect();
     // The real frame-size check: 25 bytes of header (tag + revision +
     // dims + cells_evaluated) plus exactly 9 bytes per run.
-    let encoded = 25 + 9 * crate::protocol::run_count(&answers);
+    let encoded = 25 + 9 * runs.len();
     if encoded > MAX_FRAME_LEN {
         return error(
             ErrorCode::Oversized,
@@ -491,12 +485,12 @@ fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: 
             ),
         );
     }
-    Response::Heatmap {
+    Response::HeatmapRuns {
         revision: engine.revision(),
         width,
         height,
         cells_evaluated: stats.cells_evaluated,
-        cells: answers,
+        runs,
     }
 }
 

@@ -14,7 +14,7 @@
 //!   proving the server still serves.
 
 use proptest::prelude::*;
-use sinr_core::{Network, StationId, SurgeryOp};
+use sinr_core::{Located, Network, StationId, SurgeryOp};
 use sinr_geometry::Point;
 use sinr_server::{
     decode_response, duplex_stream, encode_request, serve_session, BackendId, ChaosConfig,
@@ -782,4 +782,145 @@ fn qds_precondition_failure_is_backend_build() {
     }
     drop(client);
     assert!(handle.join().is_ok());
+}
+
+/// A `Heatmap` frame over a `width × height` grid carrying `runs`
+/// (`(kind, station, length)` as on the wire).
+fn heatmap_frame(width: u32, height: u32, runs: &[(u8, u32, u32)]) -> Vec<u8> {
+    let mut frame = vec![0x89];
+    frame.extend_from_slice(&7u64.to_le_bytes());
+    frame.extend_from_slice(&width.to_le_bytes());
+    frame.extend_from_slice(&height.to_le_bytes());
+    frame.extend_from_slice(&0u64.to_le_bytes());
+    for &(kind, station, len) in runs {
+        frame.push(kind);
+        frame.extend_from_slice(&station.to_le_bytes());
+        frame.extend_from_slice(&len.to_le_bytes());
+    }
+    frame
+}
+
+/// Lying heatmap run sums — short of the grid, past it, or padded with
+/// a zero-length run — are one typed `RunLengthMismatch` from the dense
+/// decoder and the runs decoder alike; an honest frame with non-maximal
+/// runs is accepted by both, the runs as sent.
+#[test]
+fn lying_heatmap_run_sums_are_one_typed_error_from_both_decoders() {
+    let (width, height) = (4u32, 3u32);
+    for (what, runs, decoded) in [
+        ("short", vec![(0, 1, 5), (2, 0, 6)], 11),
+        ("long", vec![(0, 1, 5), (2, 0, 8)], 13),
+        ("zero-length", vec![(0, 1, 5), (2, 0, 0), (2, 0, 7)], 5),
+    ] {
+        let frame = heatmap_frame(width, height, &runs);
+        let expected = Err(sinr_server::ProtocolError::RunLengthMismatch {
+            declared: 12,
+            decoded,
+        });
+        assert_eq!(decode_response(&frame), expected, "{what}: dense decoder");
+        assert_eq!(
+            sinr_server::decode_response_runs(&frame),
+            expected,
+            "{what}: runs decoder"
+        );
+    }
+    // Non-maximal runs (two adjacent silent runs) are legal on the wire.
+    let frame = heatmap_frame(width, height, &[(0, 1, 5), (2, 0, 3), (2, 0, 4)]);
+    let runs = vec![
+        (Located::Reception(StationId(1)), 5),
+        (Located::Silent, 3),
+        (Located::Silent, 4),
+    ];
+    match sinr_server::decode_response_runs(&frame) {
+        Ok(Response::HeatmapRuns { runs: got, .. }) => assert_eq!(got, runs),
+        other => panic!("expected HeatmapRuns, got {other:?}"),
+    }
+    match decode_response(&frame) {
+        Ok(Response::Heatmap { cells, .. }) => {
+            assert_eq!(cells, sinr_server::expand_runs(&runs))
+        }
+        other => panic!("expected Heatmap, got {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary run sequences: the dense and runs decoders accept and
+    /// reject exactly the same heatmap frames with the same errors, and
+    /// what both accept expands to the same pixels.
+    #[test]
+    fn heatmap_decoders_agree_on_arbitrary_runs(
+        width in 1u32..6,
+        height in 1u32..6,
+        runs in collection::vec((0u8..4, 0u32..3, 0u32..9), 0..12),
+    ) {
+        let frame = heatmap_frame(width, height, &runs);
+        match (decode_response(&frame), sinr_server::decode_response_runs(&frame)) {
+            (Ok(Response::Heatmap { cells, .. }), Ok(Response::HeatmapRuns { runs, .. })) => {
+                prop_assert_eq!(cells.len(), (width * height) as usize);
+                prop_assert_eq!(cells, sinr_server::expand_runs(&runs));
+            }
+            (Err(dense), Err(runs)) => prop_assert_eq!(dense, runs),
+            (dense, runs) => prop_assert!(false, "decoders disagree: {dense:?} vs {runs:?}"),
+        }
+    }
+}
+
+/// The served heatmap frame is byte for byte the run-length encoding of
+/// the dense raster: the session encodes straight from the refinement's
+/// runs, and the bytes must not differ from encoding every pixel.
+#[test]
+fn served_heatmap_frames_are_the_dense_encoding() {
+    let net = tiny_network();
+    let mut session =
+        sinr_server::SessionCore::new(std::sync::Arc::new(sinr_server::NetworkRegistry::new()));
+    let (bound, _) = session.handle_payload(&encode_request(&Request::Bind {
+        backend: BackendId::SimdScan,
+        epsilon: 0.0,
+        network: sinr_server::NetworkSpec::of(&net),
+    }));
+    assert!(matches!(
+        decode_response(&bound),
+        Ok(Response::Bound { .. })
+    ));
+    let engine = sinr_core::BoxedEngine::simd_scan(&net);
+    let (min, max) = (Point::new(-3.0, -2.5), Point::new(7.0, 5.0));
+    for (width, height) in [(1u32, 1u32), (7, 3), (96, 64), (300, 200)] {
+        let (frame, _) = session.handle_payload(&encode_request(&Request::HeatmapBatch {
+            min,
+            max,
+            width,
+            height,
+        }));
+        let Ok(Response::Heatmap {
+            revision,
+            cells_evaluated,
+            ..
+        }) = decode_response(&frame)
+        else {
+            panic!("{width}x{height}: expected a Heatmap frame");
+        };
+        let dense = sinr_diagram::ReceptionMap::compute_with_engine(
+            &engine,
+            sinr_geometry::BBox::new(min, max),
+            width as usize,
+            height as usize,
+        );
+        let cells = dense
+            .iter()
+            .map(|(_, _, label)| match label.station() {
+                Some(i) => Located::Reception(i),
+                None => Located::Silent,
+            })
+            .collect();
+        let expected = sinr_server::encode_response(&Response::Heatmap {
+            revision,
+            width,
+            height,
+            cells_evaluated,
+            cells,
+        });
+        assert_eq!(frame, expected, "{width}x{height}: wire bytes");
+    }
 }

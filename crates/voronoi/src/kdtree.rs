@@ -241,7 +241,7 @@ impl KdTree {
     ///
     /// The search is exact best-first branch-and-bound: a subtree is
     /// visited unless `att(d²_min-to-bbox) · max_weight`, widened by
-    /// [`STRONGEST_BOUND_SLACK`], is *strictly* below the best strength
+    /// `STRONGEST_BOUND_SLACK`, is *strictly* below the best strength
     /// so far — visiting on equality is what preserves the
     /// smallest-label tie rule.
     pub fn strongest_mapped<A, F>(&self, q: Point, att: A, map: F) -> Option<(usize, f64, f64)>
