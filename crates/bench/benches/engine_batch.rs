@@ -156,9 +156,10 @@ fn time_ns_per_point(points: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / points as f64
 }
 
-/// Timing repetitions of the default lines' `locate_batch` passes; the
-/// recorded value is the minimum. One pass at 256 stations lasts only
-/// 13–30 ms, so a single pass swings 2× on a shared 2-vCPU box.
+/// Timing repetitions of the default lines' `locate_batch` passes and of
+/// the tiled, channel_mc and scheduling timings; the recorded value is
+/// the minimum. One pass at 256 stations lasts only 13–30 ms, so a
+/// single pass swings 2× on a shared 2-vCPU box.
 const DEFAULT_REPS: usize = 3;
 
 /// The fastest of `reps` timed passes, reported as ns/point.
@@ -269,10 +270,10 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     };
 
     // ExactScan: tiled locate_batch vs the per-point scalar kernel.
-    let tiled_ns = time_ns_per_point(queries.len(), || {
+    let tiled_ns = min_ns_per_point(DEFAULT_REPS, queries.len(), || {
         exact.locate_batch(black_box(queries), &mut tiled);
     });
-    let pp_ns = time_ns_per_point(queries.len(), || {
+    let pp_ns = min_ns_per_point(DEFAULT_REPS, queries.len(), || {
         batch_map(black_box(queries), &mut perpoint, |p| exact.locate(*p));
     });
     assert_eq!(tiled, perpoint, "ExactScan tiled/per-point answers diverge");
@@ -288,10 +289,10 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     emit("exact_scan", "portable", tiled_ns, pp_ns, stats);
 
     // SimdScan: tiled with its detected kernel vs per-point full scans.
-    let tiled_ns = time_ns_per_point(queries.len(), || {
+    let tiled_ns = min_ns_per_point(DEFAULT_REPS, queries.len(), || {
         simd.locate_batch(black_box(queries), &mut tiled);
     });
-    let pp_ns = time_ns_per_point(queries.len(), || {
+    let pp_ns = min_ns_per_point(DEFAULT_REPS, queries.len(), || {
         batch_map(black_box(queries), &mut perpoint, |p| simd.locate(*p));
     });
     assert_eq!(tiled, perpoint, "SimdScan tiled/per-point answers diverge");
@@ -309,10 +310,10 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     // VoronoiAssisted: tiled nearest-mode (valid here — the bench
     // network is uniform-power, matching the backend's own dispatch)
     // vs the per-point kd-tree walk.
-    let tiled_ns = time_ns_per_point(queries.len(), || {
+    let tiled_ns = min_ns_per_point(DEFAULT_REPS, queries.len(), || {
         voronoi.locate_batch(black_box(queries), &mut tiled);
     });
-    let pp_ns = time_ns_per_point(queries.len(), || {
+    let pp_ns = min_ns_per_point(DEFAULT_REPS, queries.len(), || {
         batch_map(black_box(queries), &mut perpoint, |p| voronoi.locate(*p));
     });
     assert_eq!(
@@ -521,11 +522,12 @@ fn emit_channel_mc_json_lines() {
     for (backend, build) in backends {
         let engine = build(&net);
         let mut mc_probs = vec![0.0; points.len()];
-        let start = Instant::now();
-        engine
-            .reception_probability_batch(&channel, mc, &points, &mut mc_probs)
-            .expect("channel Monte-Carlo");
-        let mc_ns = start.elapsed().as_nanos() as f64 / (points.len() as f64 * MC_TRIALS as f64);
+        let point_trials = points.len() * MC_TRIALS as usize;
+        let mc_ns = min_ns_per_point(DEFAULT_REPS, point_trials, || {
+            engine
+                .reception_probability_batch(&channel, mc, &points, &mut mc_probs)
+                .expect("channel Monte-Carlo");
+        });
 
         let (naive_ns, naive_probs) = naive_reception_probs(&net, &channel, &points, &build);
         for (k, (got, want)) in mc_probs.iter().zip(&naive_probs).enumerate() {
@@ -571,10 +573,12 @@ const SCHED_LAMBDA: f64 = 0.3;
 /// The scheduling record: ns per queue-stability timestep (each step =
 /// Bernoulli arrivals + a greedy SINR-feasible-set search where every
 /// candidate transmit pattern is an incremental `SetPower` timestep on
-/// the dynamic engine). One `"scenario":"scheduling"` line.
+/// the dynamic engine). Each of the `DEFAULT_REPS` timed runs starts
+/// from its own fresh ring network and engine, built outside the clock,
+/// and the runs' queue outcomes are asserted equal. One
+/// `"scenario":"scheduling"` line.
 fn emit_scheduling_json_line() {
-    let beta = 2.0;
-    let mut b = Network::builder().background_noise(0.01).threshold(beta);
+    let mut b = Network::builder().background_noise(0.01).threshold(2.0);
     let mut receivers = Vec::with_capacity(SCHED_LINKS);
     for k in 0..SCHED_LINKS {
         let theta = std::f64::consts::TAU * k as f64 / SCHED_LINKS as f64;
@@ -582,15 +586,53 @@ fn emit_scheduling_json_line() {
         b = b.station(Point::new(4.0 * cos, 4.0 * sin));
         receivers.push(Point::new(3.0 * cos, 3.0 * sin));
     }
-    let mut net = b.build().expect("ring network");
-    let mut engine = BoxedEngine::simd_scan(&net);
-    let fading = ChannelModel::LogNormalShadowing { sigma_db: 2.0 };
+    let ring = b.build().expect("ring network");
+    let mut fresh: Vec<(Network, BoxedEngine)> = (0..DEFAULT_REPS)
+        .map(|_| {
+            let net = ring.clone();
+            let engine = BoxedEngine::simd_scan(&net);
+            (net, engine)
+        })
+        .collect();
+    let mut outcome = None;
+    let ns_per_step = min_ns_per_point(DEFAULT_REPS, SCHED_STEPS, || {
+        let (net, engine) = fresh.pop().expect("one fresh state per repetition");
+        let run = scheduling_run(net, engine, &receivers);
+        assert!(
+            outcome.is_none_or(|o| o == run),
+            "scheduling repetitions diverged"
+        );
+        outcome = Some(run);
+    });
+    let (mutates, served, backlog) = outcome.expect("DEFAULT_REPS > 0");
 
+    let line = JsonLine::new("engine_batch")
+        .str("scenario", "scheduling")
+        .str("backend", "simd_scan")
+        .int("links", SCHED_LINKS as u64)
+        .int("steps", SCHED_STEPS as u64)
+        .num("lambda", SCHED_LAMBDA)
+        .int("mutate_timesteps", mutates)
+        .int("served_packets", served)
+        .int("final_backlog", backlog)
+        .num("ns_per_step", ns_per_step);
+    println!("{}", line.render());
+}
+
+/// One `SCHED_STEPS`-step scheduling run on the ring `net` (with
+/// `engine` built from it) and its link `receivers`; returns
+/// `(mutate timesteps, served packets, final backlog)`.
+fn scheduling_run(
+    mut net: Network,
+    mut engine: BoxedEngine,
+    receivers: &[Point],
+) -> (u64, u64, u64) {
+    let beta = net.beta();
+    let fading = ChannelModel::LogNormalShadowing { sigma_db: 2.0 };
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5C4E);
     let mut backlog = [0usize; SCHED_LINKS];
     let mut gains = vec![1.0; SCHED_LINKS];
     let (mut served, mut mutates) = (0u64, 0u64);
-    let start = Instant::now();
     for step in 0..SCHED_STEPS {
         for q in backlog.iter_mut() {
             *q += usize::from(rng.gen_range(0.0..1.0) < SCHED_LAMBDA);
@@ -628,19 +670,7 @@ fn emit_scheduling_json_line() {
             served += 1;
         }
     }
-    let ns_per_step = start.elapsed().as_nanos() as f64 / SCHED_STEPS as f64;
-
-    let line = JsonLine::new("engine_batch")
-        .str("scenario", "scheduling")
-        .str("backend", "simd_scan")
-        .int("links", SCHED_LINKS as u64)
-        .int("steps", SCHED_STEPS as u64)
-        .num("lambda", SCHED_LAMBDA)
-        .int("mutate_timesteps", mutates)
-        .int("served_packets", served)
-        .int("final_backlog", backlog.iter().sum::<usize>() as u64)
-        .num("ns_per_step", ns_per_step);
-    println!("{}", line.render());
+    (mutates, served, backlog.iter().sum::<usize>() as u64)
 }
 
 /// Non-uniform scenario shape: the `n = 4096` station layout with a

@@ -150,14 +150,14 @@
 //!
 //! [`QueryEngine::sinr_bounds_cell`] extends the per-tile envelope
 //! machinery into a queryable API: a [`CellCert`](crate::tile::CellCert)
-//! carries, for an axis-aligned cell, a certified `[lo, hi]` SINR
-//! interval per station ([`CellCert::sinr`](crate::tile::CellCert::sinr))
-//! and a whole-cell decision
-//! ([`CellDecision`](crate::tile::CellDecision)):
+//! carries, for an axis-aligned cell, a whole-cell decision
+//! ([`CellDecision`](crate::tile::CellDecision)) certified from
+//! per-station energy envelopes and leave-one-out interference brackets
+//! over the cell:
 //!
 //! * **`Reception(i)`** is claimed only when every *other* station is
 //!   certified silent across the cell **and** station `i`'s reception
-//!   test passes at the adversarial ends of the interference interval —
+//!   test passes at the adversarial ends of its interference bracket —
 //!   sound for every point of the cell under the same
 //!   `BOUND_MARGIN`/deep-fade widening rules as the batch certificates
 //!   (the margins are one-sided: looseness degrades to `Mixed`, never
@@ -993,11 +993,12 @@ impl SinrEvaluator {
     }
 
     /// Interval-certified evaluation of the axis-aligned cell
-    /// `[min, max]`: per-station energy envelopes, leave-one-out
-    /// interference brackets, certified SINR intervals
-    /// ([`CellCert::sinr`](crate::tile::CellCert::sinr)) and — when the
-    /// margins allow — a uniform reception
-    /// [`CellDecision`](crate::tile::CellDecision) for the whole cell.
+    /// `[min, max]`: per-station energy envelopes and leave-one-out
+    /// interference brackets over the cell decide — when the margins
+    /// allow — a uniform reception
+    /// [`CellDecision`](crate::tile::CellDecision) for the whole cell;
+    /// the [`CellCert`](crate::tile::CellCert) keeps that decision, the
+    /// surviving candidate stations and the frozen residual.
     ///
     /// Pass a certificate of a **containing** cell as `parent` to
     /// re-envelope only its surviving candidates (the refinement
@@ -1098,11 +1099,11 @@ pub trait QueryEngine {
     // --- Interval certificates ([`crate::tile`]) -------------------------
 
     /// Interval-certified evaluation of one axis-aligned cell: a
-    /// [`CellCert`](crate::tile::CellCert) bracketing every station's
-    /// SINR over `[min, max]` and, when the certified brackets clear the
-    /// margins, a uniform [`CellDecision`](crate::tile::CellDecision)
-    /// that is **sound for this backend's own `locate`** at every point
-    /// of the cell. Certificates chain: pass a containing cell's
+    /// [`CellCert`](crate::tile::CellCert) holding, when the certified
+    /// envelopes over `[min, max]` clear the margins, a uniform
+    /// [`CellDecision`](crate::tile::CellDecision) that is **sound for
+    /// this backend's own `locate`** at every point of the cell, plus
+    /// the candidates and frozen residual that refining it needs. Certificates chain: pass a containing cell's
     /// certificate as `parent` so only its surviving candidate stations
     /// are re-enveloped (the quadtree-refinement contract).
     ///
@@ -1714,20 +1715,6 @@ impl VoronoiAssisted {
         &self.eval
     }
 
-    /// True when queries dispatch through the kd-tree — since the
-    /// power-diagram dispatch, **always** for this backend.
-    ///
-    /// Historically this flipped to `false` on non-uniform power (the
-    /// Observation-2.2 nearest-station shortcut is only legal under
-    /// uniform power, and the backend fell back to an exact scan).
-    /// The weighted nearest-dominator search removed the fallback: the
-    /// same tree answers `argmax Pᵢ · att(d²)` exactly for every power
-    /// assignment, so the method is kept only for callers that report
-    /// which dispatch a backend uses.
-    pub fn uses_proximity_dispatch(&self) -> bool {
-        true
-    }
-
     /// The SIMD kernel the candidate interference sum resolved to.
     pub fn kernel(&self) -> SimdKernel {
         self.kernel
@@ -2107,8 +2094,6 @@ mod tests {
     fn voronoi_assisted_matches_scalar_ground_truth() {
         for net in nets() {
             let engine = VoronoiAssisted::new(&net);
-            // The weighted tree serves every power assignment.
-            assert!(engine.uses_proximity_dispatch());
             for p in grid_points(6.0, 25) {
                 let expected = sinr::heard_at(&net, p);
                 let got = engine.locate(p).station();

@@ -190,5 +190,5 @@ pub use power::PowerAssignment;
 pub use simd::{SimdKernel, SimdScan};
 pub use snapshot::{EngineSnapshot, SnapshotError, SnapshotStore};
 pub use station::{Station, StationId, StationKey};
-pub use tile::{CellCert, CellDecision, SinrInterval, TileConfig, TileStats};
+pub use tile::{CellCert, CellDecision, TileConfig, TileStats};
 pub use zone::{RadialProfile, ReceptionZone};

@@ -77,7 +77,6 @@ use crate::station::StationId;
 use sinr_algebra::KahanSum;
 use sinr_geometry::Point;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Relative widening applied to each station's per-tile energy envelope
 /// so it certifiably brackets the kernels' rounded energies (worst case
@@ -732,7 +731,7 @@ where
 
 /// Relative slack widening the leave-one-out interference sums of a
 /// cell certificate. The sums are (at most) `n` compensated additions
-/// plus the frozen chain's plain additions, so their relative rounding
+/// plus the frozen residual's plain additions, so their relative rounding
 /// is bounded by `n·ε ≈ 1e-12` at the engine's practical station
 /// counts; `1e-11` dwarfs it while staying negligible against
 /// [`TOTAL_MARGIN`].
@@ -743,43 +742,26 @@ const SUM_SLACK: f64 = 1e-11;
 /// being re-enveloped per descendant cell. Per-station widths
 /// `hi ≤ lo·(1 + FREEZE_REL)` add up to an aggregate residual width of
 /// at most `FREEZE_REL · I` over the frozen set, so descendants'
-/// certified SINR intervals widen by at most that *relative* amount —
-/// only cells already within ~`FREEZE_REL` of the `β` boundary can flip
-/// from resolved to [`CellDecision::Mixed`], and those sit inside the
-/// boundary band the refinement subdivides anyway. This is what makes a
-/// root-to-leaf quadtree refinement cost `O(surviving candidates)` per
-/// cell instead of `O(n)`: a station at distance `≳ 4/FREEZE_REL` cell
-/// radii freezes, so far stations drop out after a few levels.
+/// leave-one-out interference brackets widen by at most that *relative*
+/// amount — only cells already within ~`FREEZE_REL` of the `β` boundary
+/// can flip from resolved to [`CellDecision::Mixed`], and those sit
+/// inside the boundary band the refinement subdivides anyway. This is
+/// what makes a root-to-leaf quadtree refinement cost
+/// `O(surviving candidates)` per cell instead of `O(n)`: a station at
+/// distance `≳ 4/FREEZE_REL` cell radii freezes, so far stations drop
+/// out after a few levels.
 ///
-/// The value trades certificate cost against bracket *width*: frozen
+/// The value trades certificate cost against residual *width*: frozen
 /// widths are paid by every descendant decision — including the
 /// per-point certified path ([`locate_in_cell`]), whose hit rate near
 /// the `β` boundary is set directly by the accumulated frozen width
-/// (a point whose reception margin is smaller than the frozen bracket
+/// (a point whose reception margin is smaller than the frozen residual
 /// cannot be pinned and falls through to the batched serial kernel).
-/// `0.05` keeps that uncertifiable band to a few pixels at heatmap
-/// resolutions; looser values make certificates cheaper but push whole
-/// pixel bands onto the `O(n)` fallback, which measures strictly worse
-/// on megapixel grids.
+/// That uncertifiable band has a fixed width in the plane, so it spans
+/// more pixels as the raster resolution grows; looser values make
+/// certificates cheaper but widen the band that goes to the `O(n)`
+/// fallback, which measures strictly worse on megapixel grids.
 const FREEZE_REL: f64 = 0.05;
-
-/// A certified bracket `[lo, hi]` of one station's SINR over a cell:
-/// every value [`SinrEvaluator::sinr`] returns for any point of the
-/// cell (including the `0`/`+∞` co-location conventions) lies inside.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SinrInterval {
-    /// Certified lower end (`≥ 0`).
-    pub lo: f64,
-    /// Certified upper end (`+∞` when unbounded over the cell).
-    pub hi: f64,
-}
-
-impl SinrInterval {
-    /// True when `v` lies inside the bracket (NaN is never inside).
-    pub fn contains(&self, v: f64) -> bool {
-        self.lo <= v && v <= self.hi
-    }
-}
 
 /// The uniform classification a [`CellCert`] proved for its whole cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -831,28 +813,20 @@ impl Totals {
     }
 }
 
-/// One frozen layer of an ancestor chain: stations whose envelopes were
-/// pinned at some ancestor cell (Arc-shared by every descendant).
-#[derive(Debug)]
-struct FrozenLayer {
-    parent: Option<Arc<FrozenLayer>>,
-    /// `(station index, energy lo, energy hi)` — all finite.
-    entries: Vec<(u32, f64, f64)>,
-}
-
-/// A certified interval evaluation of one axis-aligned cell: per-station
-/// energy envelopes over the cell box, the leave-one-out interference
-/// brackets they imply, and the uniform reception [`CellDecision`] they
-/// certify (if any).
+/// The certified uniform decision over one axis-aligned cell, with what
+/// refining the cell needs: the surviving candidate stations and the
+/// frozen residual `[frozen_lo, frozen_hi]` — the summed energy
+/// envelopes of every station proved silent (with a tight envelope)
+/// over this cell or an ancestor.
 ///
 /// Certificates chain: passing one as the `parent` of
 /// [`QueryEngine::sinr_bounds_cell`](crate::engine::QueryEngine::sinr_bounds_cell)
 /// for a **contained** child cell re-envelopes only the parent's
 /// surviving candidates, while stations the parent proved silent with
-/// tight envelopes are carried as a frozen residual (their ancestor-cell
-/// envelopes remain valid for any sub-cell). The hierarchical raster
-/// refinement in `sinr-diagram` leans on this: certificate cost tracks
-/// the *local* station set, not `n`.
+/// tight envelopes are carried in the frozen residual (their
+/// ancestor-cell envelopes remain valid for any sub-cell). The
+/// hierarchical raster refinement in `sinr-diagram` leans on this:
+/// certificate cost tracks the *local* station set, not `n`.
 #[derive(Debug, Clone)]
 pub struct CellCert {
     min_x: f64,
@@ -861,16 +835,11 @@ pub struct CellCert {
     max_y: f64,
     n: usize,
     decision: CellDecision,
-    /// Surviving candidates `(station index, energy lo, energy hi)`,
-    /// ascending by index.
-    cands: Vec<(u32, f64, f64)>,
-    frozen: Option<Arc<FrozenLayer>>,
-    /// Plain sums of the frozen entries' envelope ends (all finite).
+    /// Surviving candidate station indices, ascending.
+    cands: Vec<u32>,
+    /// Plain sums of the frozen stations' envelope ends (all finite).
     frozen_lo: f64,
     frozen_hi: f64,
-    totals: Totals,
-    noise: f64,
-    beta: f64,
 }
 
 impl CellCert {
@@ -879,86 +848,10 @@ impl CellCert {
         self.decision
     }
 
-    /// The cell box this certificate covers: `(min, max)` corners.
-    pub fn cell(&self) -> (Point, Point) {
-        (
-            Point::new(self.min_x, self.min_y),
-            Point::new(self.max_x, self.max_y),
-        )
-    }
-
     /// Number of surviving (non-frozen) candidate stations — the cost
     /// driver of refining this certificate into child cells.
     pub fn candidates(&self) -> usize {
         self.cands.len()
-    }
-
-    /// The reception threshold `β` this certificate's decision was
-    /// certified against.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// The background noise `N` folded into the certified brackets.
-    pub fn noise(&self) -> f64 {
-        self.noise
-    }
-
-    /// The station's certified energy envelope: from the candidate list
-    /// if it survived, else from the frozen ancestor chain.
-    fn energy_bounds(&self, j: usize) -> (f64, f64) {
-        let key = j as u32;
-        if let Ok(c) = self.cands.binary_search_by_key(&key, |&(idx, _, _)| idx) {
-            let (_, lo, hi) = self.cands[c];
-            return (lo, hi);
-        }
-        let mut layer = self.frozen.as_deref();
-        while let Some(l) = layer {
-            if let Some(&(_, lo, hi)) = l.entries.iter().find(|&&(idx, _, _)| idx == key) {
-                return (lo, hi);
-            }
-            layer = l.parent.as_deref();
-        }
-        unreachable!("station {j} is neither a candidate nor frozen")
-    }
-
-    /// The certified SINR bracket of `station` over the cell: every
-    /// value [`SinrEvaluator::sinr`] can return for a point of the cell
-    /// — including the co-location conventions (`0` at another station,
-    /// `+∞` at the station itself) — lies inside.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `station` is out of range.
-    pub fn sinr(&self, station: StationId) -> SinrInterval {
-        assert!(
-            station.0 < self.n,
-            "station {station} out of range ({} stations)",
-            self.n
-        );
-        let (elo, ehi) = self.energy_bounds(station.0);
-        let (i_lo, i_hi) = self.totals.leave_one_out(elo, ehi);
-        // Lower end: smallest energy over largest interference+noise.
-        // NaN (∞/∞) and 0/0 collapse to the trivial 0.
-        let den_hi = (i_hi + self.noise) * (1.0 + TOTAL_MARGIN);
-        let mut lo = (elo / den_hi) * (1.0 - TOTAL_MARGIN);
-        if lo.is_nan() || lo <= 0.0 {
-            lo = 0.0;
-        }
-        // Upper end: a non-positive denominator lower bound means the
-        // evaluator can report +∞ (its `denom ≤ 0` clause).
-        let den_lo = (i_lo + self.noise) * (1.0 - TOTAL_MARGIN);
-        let hi = if den_lo > 0.0 {
-            let h = (ehi / den_lo) * (1.0 + TOTAL_MARGIN);
-            if h.is_nan() {
-                f64::INFINITY
-            } else {
-                h
-            }
-        } else {
-            f64::INFINITY
-        };
-        SinrInterval { lo, hi }
     }
 }
 
@@ -1063,12 +956,12 @@ pub(crate) fn cell_certificate(
         ent.push((j as u32, lo, hi));
     };
     match parent {
-        Some(p) => p.cands.iter().for_each(|&(j, _, _)| envelope(j as usize)),
+        Some(p) => p.cands.iter().for_each(|&j| envelope(j as usize)),
         None => (0..n).for_each(&mut envelope),
     }
-    let (mut frozen_lo, mut frozen_hi, frozen_parent) = match parent {
-        Some(p) => (p.frozen_lo, p.frozen_hi, p.frozen.clone()),
-        None => (0.0, 0.0, None),
+    let (mut frozen_lo, mut frozen_hi) = match parent {
+        Some(p) => (p.frozen_lo, p.frozen_hi),
+        None => (0.0, 0.0),
     };
     let totals = Totals {
         sum_lo: frozen_lo + cand_lo.value(),
@@ -1077,23 +970,19 @@ pub(crate) fn cell_certificate(
         inf_hi,
     };
     // Pass 2: classify each candidate against the others' bracket, and
-    // partition tight certified-silent candidates into the frozen set.
-    // Surviving candidates compact in place over `ent` (ascending order
-    // is preserved, which the argmax first-index tie rules ride on);
-    // only the frozen minority moves out.
-    let mut new_frozen: Vec<(u32, f64, f64)> = Vec::new();
+    // fold tight certified-silent candidates into the frozen residual.
+    // Surviving candidates keep their ascending order, which the argmax
+    // first-index tie rules ride on.
+    let mut cands: Vec<u32> = Vec::with_capacity(ent.len());
     let mut non_silent = 0usize;
     let mut rx: Option<StationId> = None;
     let mut rx_certified = false;
-    let mut kept = 0usize;
-    for i in 0..ent.len() {
-        let (j, lo, hi) = ent[i];
+    for &(j, lo, hi) in &ent {
         let (others_lo, others_hi) = totals.leave_one_out(lo, hi);
         if cell_silent(hi, others_lo, noise, beta) {
             if hi <= lo * (1.0 + FREEZE_REL) {
                 frozen_lo += lo;
                 frozen_hi += hi;
-                new_frozen.push((j, lo, hi));
                 continue;
             }
         } else {
@@ -1103,11 +992,8 @@ pub(crate) fn cell_certificate(
                 rx_certified = cell_receives(lo, hi, others_hi, noise, beta);
             }
         }
-        ent[kept] = (j, lo, hi);
-        kept += 1;
+        cands.push(j);
     }
-    ent.truncate(kept);
-    let cands = ent;
     // Reception needs a *unique* non-silent candidate whose own test is
     // certified: silence of every other station pins the argmax (an
     // argmax `m ≠ i` with `e_m ≥ e_i ≥ β·(I_i + N) ≥ β·(I_m + N) > e_m`
@@ -1121,14 +1007,6 @@ pub(crate) fn cell_certificate(
     } else {
         CellDecision::Mixed
     };
-    let frozen = if new_frozen.is_empty() {
-        frozen_parent
-    } else {
-        Some(Arc::new(FrozenLayer {
-            parent: frozen_parent,
-            entries: new_frozen,
-        }))
-    };
     CellCert {
         min_x: min.x,
         min_y: min.y,
@@ -1137,12 +1015,8 @@ pub(crate) fn cell_certificate(
         n,
         decision,
         cands,
-        frozen,
         frozen_lo,
         frozen_hi,
-        totals,
-        noise,
-        beta,
     }
 }
 
@@ -1207,7 +1081,7 @@ pub fn locate_in_cell(
     let decider = Decider::new(eval, kernel, select);
     let soa = eval.soa();
     let mut cands = Candidates::with_capacity(cert.cands.len());
-    for &(j, _, _) in &cert.cands {
+    for &j in &cert.cands {
         cands.push(soa, j as usize);
     }
     for (p, slot) in points.iter().zip(out.iter_mut()) {
@@ -1285,7 +1159,6 @@ mod cert_tests {
     }
 
     fn check_cert_sound(eval: &SinrEvaluator, cert: &CellCert, min: Point, max: Point) {
-        let n = eval.len();
         for p in samples(min, max) {
             let loc = eval.locate(p);
             match cert.decision() {
@@ -1300,16 +1173,6 @@ mod cert_tests {
                     "cell [{min:?},{max:?}] certified Silent but locate({p:?}) = {loc:?}"
                 ),
                 CellDecision::Mixed => {}
-            }
-            for j in 0..n {
-                let v = eval.sinr(StationId(j), p);
-                let iv = cert.sinr(StationId(j));
-                assert!(
-                    iv.contains(v),
-                    "sinr {v} of station {j} at {p:?} outside certified [{}, {}] over [{min:?},{max:?}]",
-                    iv.lo,
-                    iv.hi
-                );
             }
         }
     }
@@ -1351,8 +1214,8 @@ mod cert_tests {
             min = Point::new(0.5 * (min.x + mid.x), 0.5 * (min.y + mid.y));
             let child = eval.sinr_bounds_cell(min, max, Some(&parent));
             check_cert_sound(&eval, &child, min, max);
-            // Chained answers must match the unchained certificate's
-            // interval soundness too (fresh envelopes, no inheritance).
+            // The unchained certificate must be sound too (fresh
+            // envelopes, no inheritance).
             let fresh = eval.sinr_bounds_cell(min, max, None);
             check_cert_sound(&eval, &fresh, min, max);
             min_cands = min_cands.min(child.candidates());
@@ -1371,11 +1234,6 @@ mod cert_tests {
         // Non-finite corner.
         let cert = eval.sinr_bounds_cell(Point::new(f64::NAN, 0.0), Point::new(1.0, 1.0), None);
         assert_eq!(cert.decision(), CellDecision::Mixed);
-        for j in 0..eval.len() {
-            let iv = cert.sinr(StationId(j));
-            assert_eq!(iv.lo, 0.0);
-            assert_eq!(iv.hi, f64::INFINITY);
-        }
         // A station inside the cell: its envelope top is ∞, so no
         // uniform claim survives.
         let cert = eval.sinr_bounds_cell(Point::new(-1.0, -1.0), Point::new(1.0, 1.0), None);

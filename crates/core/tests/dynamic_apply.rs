@@ -337,14 +337,6 @@ proptest! {
             engine.apply(&delta).expect("delta applies in order");
             frozen.apply(&delta).expect("a frozen engine follows its network");
             let fresh = VoronoiAssisted::new(&net);
-            // The weighted tree serves every power assignment — the
-            // proximity dispatch survives every delta, power changes
-            // included.
-            prop_assert!(
-                engine.uses_proximity_dispatch(),
-                "dispatch dropped after delta in {}", net
-            );
-            prop_assert!(fresh.uses_proximity_dispatch());
             assert_bit_identical("VoronoiAssisted", &engine, &fresh, &net)?;
         }
         assert_frozen_contract(
@@ -383,7 +375,6 @@ proptest! {
         }
         apply_all(&mut engine, deltas);
         prop_assert!(!net.is_uniform_power());
-        prop_assert!(engine.uses_proximity_dispatch());
         assert_bit_identical("non-uniform leg", &engine, &VoronoiAssisted::new(&net), &net)?;
         // Interleave a structural op while non-uniform.
         let p = Point::new(rng.gen_range(-8.0..8.0), rng.gen_range(-8.0..8.0));
@@ -397,7 +388,6 @@ proptest! {
         }
         apply_all(&mut engine, deltas);
         prop_assert!(net.is_uniform_power());
-        prop_assert!(engine.uses_proximity_dispatch());
         assert_bit_identical("uniform again", &engine, &VoronoiAssisted::new(&net), &net)?;
     }
 

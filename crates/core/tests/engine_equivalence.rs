@@ -111,8 +111,6 @@ proptest! {
         let exact = ExactScan::new(&net);
         let simd = SimdScan::new(&net);
         let voronoi = VoronoiAssisted::new(&net);
-        // The weighted tree serves every power assignment.
-        prop_assert!(voronoi.uses_proximity_dispatch());
 
         let points = sample_points(&net);
         let mut exact_out = vec![Located::Silent; points.len()];
@@ -169,10 +167,6 @@ proptest! {
         prop_assert!(!net.is_uniform_power());
 
         let voronoi = VoronoiAssisted::new(&net);
-        prop_assert!(
-            voronoi.uses_proximity_dispatch(),
-            "non-uniform network dropped the weighted dispatch: {}", net
-        );
         let simd = SimdScan::with_kernel(SinrEvaluator::new(&net), voronoi.kernel());
         let exact = ExactScan::new(&net);
         let points = sample_points(&net);

@@ -21,9 +21,7 @@
 //!   match the serial path;
 //! * the nearest-station rule matches the kd-tree, tiled and through
 //!   `locate_in_cell`, including at a hostile exact energy tie under
-//!   `β < 1`;
-//! * every `sinr_batch` value lies inside the cell certificate of its
-//!   Morton tile's bounding box.
+//!   `β < 1`.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -223,24 +221,6 @@ fn sinr_batch_is_permutation_invariant_bit_for_bit() {
                 base[orig].to_bits(),
                 eval.sinr(station, points[orig]).to_bits()
             );
-        }
-        // Every value lies inside the cell certificate of its Morton
-        // tile's bounding box: the interval layer and the exact kernels
-        // must agree.
-        let order = tile::morton_order(points);
-        for idxs in order.chunks(TileConfig::default().tile_points) {
-            let tile: Vec<Point> = idxs.iter().map(|&i| points[i as usize]).collect();
-            let (min, max) = bounding_box(&tile);
-            let iv = eval.sinr_bounds_cell(min, max, None).sinr(station);
-            for &i in idxs {
-                let (p, v) = (points[i as usize], base[i as usize]);
-                assert!(
-                    iv.contains(v),
-                    "sinr {v} of {station} at {p} outside certified [{}, {}]",
-                    iv.lo,
-                    iv.hi
-                );
-            }
         }
     }
 }

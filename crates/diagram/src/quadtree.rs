@@ -8,10 +8,11 @@
 //! *length* while the grid grows with *area*. This module exploits that
 //! asymmetry through the interval certificates of `sinr-core`
 //! ([`QueryEngine::sinr_bounds_cell`]): starting from the whole window,
-//! any cell whose certified SINR brackets put every point strictly on
-//! one side of the reception test is resolved wholesale, and only cells
-//! the certificate leaves [`CellDecision::Mixed`] are subdivided — down
-//! to pixel resolution, where the surviving pixels are answered
+//! any cell whose certificate proves one uniform reception decision
+//! ([`CellDecision::Reception`] or [`CellDecision::Silent`]) for all of
+//! its points is resolved wholesale, and only cells the certificate
+//! leaves [`CellDecision::Mixed`] are subdivided — down to pixel
+//! resolution, where the surviving pixels are answered
 //! per-point *against the certificate in hand*
 //! ([`QueryEngine::locate_in_cell`] — candidate-only certified
 //! decisions, `O(candidates)` per pixel), and only what neither path
@@ -647,9 +648,10 @@ pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
 
 impl ReceptionMap {
     /// Rasterises the SINR diagram by quadtree refinement: whole cells
-    /// whose certified SINR interval lies strictly on one side of `β`
-    /// are resolved from the certificate, and only boundary-straddling
-    /// cells recurse down to pixel resolution — cost tracks zone
+    /// whose certificate proves a uniform decision (reception from one
+    /// station, or silence) are resolved from it, and only
+    /// boundary-straddling cells recurse down to pixel resolution —
+    /// cost tracks zone
     /// *boundary length*, not window *area*, on megapixel grids.
     ///
     /// The pixels are bit-identical to [`ReceptionMap::compute`] on the

@@ -9,14 +9,15 @@
 //! certificates may only change *where* pixels are answered (wholesale
 //! vs per-point), never *what* the answer is.
 //!
-//! Plus the interval-soundness property: every sampled SINR value lies
-//! inside the cell's certified bracket, chained or not.
+//! Plus the decision-soundness property: a certificate's uniform
+//! decision and its per-point `locate_in_cell` answers agree with
+//! `locate` at sampled points of the cell, chained or not.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sinr_core::engine::{BoxedEngine, ExactScan, QueryEngine, VoronoiAssisted};
 use sinr_core::simd::{SimdKernel, SimdScan};
-use sinr_core::{gen, Network, SinrEvaluator, StationId};
+use sinr_core::{gen, CellDecision, Located, Network, SinrEvaluator};
 use sinr_diagram::quadtree::hierarchical_map;
 use sinr_diagram::ReceptionMap;
 use sinr_geometry::{BBox, Point};
@@ -284,12 +285,14 @@ fn networks() -> impl Strategy<Value = Network> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cell-interval soundness: for random cells and random sample
-    /// points inside them, every scalar SINR value lies inside the
-    /// certified interval — both for root certificates and for children
-    /// chained through a containing parent.
+    /// Cell-decision soundness: for random cells and random sample
+    /// points inside them, a uniform (non-`Mixed`) certificate decision
+    /// equals `locate` at every sampled point of its cell, and every
+    /// `Some` that `locate_in_cell` answers from the certificate equals
+    /// `locate` — both for root certificates and for children chained
+    /// through a containing parent.
     #[test]
-    fn certified_intervals_contain_sampled_sinr(
+    fn certified_decisions_match_sampled_locate(
         net in networks(),
         seed in any::<u64>(),
         cx in -6.0f64..6.0,
@@ -298,7 +301,6 @@ proptest! {
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let engine = ExactScan::new(&net);
-        let eval = engine.evaluator();
         let min = Point::new(cx - half, cy - half);
         let max = Point::new(cx + half, cy + half);
         let root = engine
@@ -310,26 +312,40 @@ proptest! {
         let child = engine
             .sinr_bounds_cell(cmin, cmax, Some(&root))
             .expect("exact backends certify");
-        for _ in 0..24 {
-            let p = Point::new(
-                rng.gen_range(min.x..=max.x),
-                rng.gen_range(min.y..=max.y),
-            );
-            let in_child = (cmin.x..=cmax.x).contains(&p.x) && (cmin.y..=cmax.y).contains(&p.y);
-            for j in 0..net.len() {
-                let v = eval.sinr(StationId(j), p);
-                let iv = root.sinr(StationId(j));
-                prop_assert!(
-                    iv.contains(v),
-                    "root: sinr {} of station {} at {} outside [{}, {}]",
-                    v, j, p, iv.lo, iv.hi
-                );
-                if in_child {
-                    let iv = child.sinr(StationId(j));
-                    prop_assert!(
-                        iv.contains(v),
-                        "child: sinr {} of station {} at {} outside [{}, {}]",
-                        v, j, p, iv.lo, iv.hi
+        let samples: Vec<Point> = (0..24)
+            .map(|_| Point::new(rng.gen_range(min.x..=max.x), rng.gen_range(min.y..=max.y)))
+            .collect();
+        for (name, cert, lo, hi) in [("root", &root, min, max), ("child", &child, cmin, cmax)] {
+            let inside: Vec<Point> = samples
+                .iter()
+                .copied()
+                .filter(|p| (lo.x..=hi.x).contains(&p.x) && (lo.y..=hi.y).contains(&p.y))
+                .collect();
+            let mut certified = vec![None; inside.len()];
+            prop_assert!(engine.locate_in_cell(cert, &inside, &mut certified));
+            for (&p, got) in inside.iter().zip(&certified) {
+                let want = engine.locate(p);
+                match cert.decision() {
+                    CellDecision::Reception(i) => prop_assert_eq!(
+                        want,
+                        Located::Reception(i),
+                        "{}: certified Reception({}) but locate({}) = {:?}",
+                        name, i, p, want
+                    ),
+                    CellDecision::Silent => prop_assert_eq!(
+                        want,
+                        Located::Silent,
+                        "{}: certified Silent but locate({}) = {:?}",
+                        name, p, want
+                    ),
+                    CellDecision::Mixed => {}
+                }
+                if let Some(got) = *got {
+                    prop_assert_eq!(
+                        got,
+                        want,
+                        "{}: locate_in_cell({}) = {:?} but locate = {:?}",
+                        name, p, got, want
                     );
                 }
             }
