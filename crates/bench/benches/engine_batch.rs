@@ -179,17 +179,21 @@ fn emit_json_lines() {
         let simd = SimdScan::new(&net);
         let voronoi = VoronoiAssisted::new(&net);
         let mut out = vec![Located::Silent; queries.len()];
+        let mut want = vec![Located::Silent; queries.len()];
 
         // Correctness guard: the backends must agree with the ground
-        // truth before their timings mean anything.
+        // truth before their timings mean anything, and the weighted
+        // dispatch with the same-kernel scan bit for bit.
+        assert_eq!(simd.kernel(), voronoi.kernel());
         voronoi.locate_batch(&queries, &mut out);
         for (q, got) in queries.iter().zip(&out).take(512) {
             assert_eq!(got.station(), net.heard_at(*q), "engine mismatch at {q}");
         }
-        simd.locate_batch(&queries, &mut out);
-        for (q, got) in queries.iter().zip(&out).take(512) {
+        simd.locate_batch(&queries, &mut want);
+        for (q, got) in queries.iter().zip(&want).take(512) {
             assert_eq!(got.station(), net.heard_at(*q), "SimdScan mismatch at {q}");
         }
+        assert_eq!(out, want, "VoronoiAssisted diverged from SimdScan");
 
         let scalar_ns = time_ns_per_point(scalar_points, || {
             for q in &queries[..scalar_points] {
@@ -307,9 +311,8 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     );
     emit("simd_scan", simd.kernel().name(), tiled_ns, pp_ns, stats);
 
-    // VoronoiAssisted: tiled nearest-mode (valid here — the bench
-    // network is uniform-power, matching the backend's own dispatch)
-    // vs the per-point kd-tree walk.
+    // VoronoiAssisted: tiled max-energy mode (the backend's own
+    // dispatch rule on every network) vs the per-point kd-tree walk.
     let tiled_ns = min_ns_per_point(DEFAULT_REPS, queries.len(), || {
         voronoi.locate_batch(black_box(queries), &mut tiled);
     });
@@ -323,7 +326,7 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     let stats = tile::locate_batch_tiled(
         voronoi.evaluator(),
         voronoi.kernel(),
-        Select::Nearest,
+        Select::MaxEnergy,
         queries,
         &mut tiled,
         &TileConfig::default(),

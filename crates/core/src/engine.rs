@@ -25,9 +25,9 @@
 //!   every network), [`SimdScan`](crate::simd::SimdScan) (the same scan
 //!   explicitly vectorized — 8×f64 AVX-512 or 4×f64 AVX2 lanes when the
 //!   CPU has them, with SSE2 and portable scalar fallbacks), [`VoronoiAssisted`]
-//!   (weighted kd-tree dispatch, exact for every power assignment: the
-//!   nearest station under uniform power per Observation 2.2, the
-//!   power-diagram cell's strongest station otherwise), and the
+//!   (weighted kd-tree dispatch to the power-diagram cell's strongest
+//!   station, exact for every power assignment; under uniform power that
+//!   is the nearest station, per Observation 2.2), and the
 //!   Theorem-3 `PointLocator` of `sinr-pointloc` (sublinear per query,
 //!   `ε`-approximate near zone boundaries).
 //!
@@ -78,7 +78,7 @@
 //! |---|---|---|---|
 //! | [`ExactScan`] | `O(n)` | yes | none |
 //! | [`SimdScan`](crate::simd::SimdScan) | `O(n)`, ~`lanes`× smaller constants | yes | none (runtime CPU detection, scalar fallback) |
-//! | [`VoronoiAssisted`] | `O(n)`, smaller constants | yes (boundary rounding as `SimdScan` — the candidate sum rides the SIMD lanes) | none (non-uniform power dispatches through the weighted tree — the power-diagram cell lookup) |
+//! | [`VoronoiAssisted`] | `O(n)`, smaller constants | yes (bit-identical to a same-kernel `SimdScan`) | none (every power assignment dispatches through the weighted tree — the power-diagram cell lookup) |
 //! | `PointLocator` | `O(log n)` | `ε`-approximate near `∂Hᵢ` | uniform power, `α = 2`, `β > 1` |
 //!
 //! ## Execution model
@@ -122,23 +122,16 @@
 //!    per call).
 //!
 //! [`VoronoiAssisted`] layers **proximity dispatch** on top: each query
-//! first finds the one station that could possibly be heard — the
-//! nearest station under uniform power (Observation 2.2,
-//! [`Select::Nearest`](crate::tile::Select::Nearest) in the tiled
-//! executor), or the station maximising `Pᵢ · att(d²)` under non-uniform
-//! power (the power-diagram cell of Kantor et al.,
-//! [`Select::MaxEnergy`](crate::tile::Select::MaxEnergy) /
-//! the weighted kd-tree's best-first `strongest` walk) — then runs a
-//! single candidate interference sum instead of an `O(n)` argmax scan.
-//! The tiled executor runs one SIMD argmax scan for both rules; under
-//! `Select::Nearest` it answers a certified reception only when it
-//! provably names the nearest station (`β ≥ 1`) and otherwise falls
-//! back to the tree walk, so tiled answers stay bit-identical to the
-//! backend's own `locate`. It is *not* bit-identical to `SimdScan`
-//! everywhere: at an exact energy tie between stations at different
-//! distances the nearest walk names the nearer station, the argmax the
-//! first index (and for `α ≠ 2`, `powf` rounding can order two
-//! near-equal energies against their distances).
+//! first finds the one station that could possibly be heard, the station
+//! maximising `Pᵢ · att(d²)` (the power-diagram cell of Kantor et al.,
+//! found by the weighted kd-tree's best-first walk; under uniform power
+//! it is the nearest station, Observation 2.2), then runs a single
+//! candidate interference sum instead of an `O(n)` argmax scan. The walk
+//! breaks exact energy ties toward the smallest index, as the scan
+//! kernels' argmax does, so `VoronoiAssisted` answers bit-identically to
+//! a [`SimdScan`](crate::simd::SimdScan) with the same kernel on every
+//! network, and every exact backend's tiled executor certifies under
+//! [`Select::MaxEnergy`](crate::tile::Select::MaxEnergy).
 //!
 //! `sinr_batch` runs the engine's own serial kernel per point in Morton
 //! tile order ([`crate::tile::batch_map_morton`]) for spatial locality,
@@ -1040,8 +1033,7 @@ enum DynKernel {
 /// method (freshness checks, the batch split, cell certificates, both
 /// Monte-Carlo methods, the epoch plumbing), over a sealed crate-private
 /// trait through which each backend supplies only its hooks: its
-/// evaluator, the kernel of its candidate scans, its
-/// [`Select`](crate::tile::Select) rule, its full scan (also the
+/// evaluator, the kernel of its candidate scans, its full scan (also the
 /// Monte-Carlo per-trial fallback on a gain-scaled evaluator), its
 /// serial per-point kernel when that is not the full scan
 /// ([`VoronoiAssisted`]'s tree walk), and its delta/sync upkeep when it
@@ -1290,7 +1282,6 @@ pub trait QueryEngine {
 /// doubles) never overlap the blanket impl below.
 pub(crate) mod exact {
     use super::{Located, Network, NetworkDelta, SimdKernel, SinrEvaluator, SyncError};
-    use crate::tile::Select;
     use sinr_geometry::Point;
 
     /// What an exact backend supplies; the blanket impl does the rest.
@@ -1304,11 +1295,6 @@ pub(crate) mod exact {
         /// The kernel of the candidate scans: the tiled executor's, the
         /// cell-certified path's and the Monte-Carlo executor's.
         fn scan_kernel(&self) -> SimdKernel;
-
-        /// The candidate rule those scans certify under.
-        fn select(&self) -> Select {
-            Select::MaxEnergy
-        }
 
         /// This backend's full scan of `ev` at `p`, without a freshness
         /// check. The Monte-Carlo executor's per-trial fallback runs it
@@ -1348,7 +1334,7 @@ impl<T: exact::Backend> QueryEngine for T {
         eval.assert_fresh();
         let cfg = crate::tile::TileConfig::default();
         if cfg.engages(points.len(), eval.len()) {
-            let (kernel, select) = (self.scan_kernel(), self.select());
+            let (kernel, select) = (self.scan_kernel(), crate::tile::Select::MaxEnergy);
             crate::tile::locate_batch_tiled(eval, kernel, select, points, out, &cfg, |p| {
                 self.serial(p)
             });
@@ -1381,8 +1367,7 @@ impl<T: exact::Backend> QueryEngine for T {
         let eval = self.eval();
         eval.assert_fresh();
         // Uncertifiable points stay `None` for the caller's batch path.
-        let (kernel, select) = (self.scan_kernel(), self.select());
-        crate::tile::locate_in_cell(eval, kernel, select, cert, points, out);
+        crate::tile::locate_in_cell(eval, self.scan_kernel(), cert, points, out);
         true
     }
 
@@ -1493,9 +1478,8 @@ impl exact::Backend for ExactScan {
 /// static weighted [`KdTree`] over a past snapshot, with **tombstones**
 /// for stations removed, relocated, or re-powered since, and a linear
 /// **overflow list** (position, power, index) for stations added or
-/// changed since. Queries take the optimum over both — nearest by
-/// squared distance under uniform power, strongest by
-/// `power · att(d²)` (the power-diagram rule) otherwise — with ties
+/// changed since. Queries take the strongest station over both, by
+/// `power · att(d²)` (the power-diagram rule), with ties
 /// breaking toward the smallest current index, exactly the fresh-tree
 /// rule, so an incrementally patched tree answers bit-for-bit like a
 /// rebuilt one.
@@ -1536,23 +1520,6 @@ impl DynamicTree {
             overflow: Vec::new(),
             dead: 0,
         }
-    }
-
-    /// Nearest live station: `(current index, squared distance)`. The
-    /// Observation-2.2 dispatch — legal under uniform power only.
-    fn nearest(&self, p: Point) -> (usize, f64) {
-        let mut best = self.tree.nearest_mapped(p, |slot| self.tree_to_cur[slot]);
-        for &(q, _, cur) in &self.overflow {
-            let d2 = q.dist_sq(p);
-            let better = match best {
-                None => true,
-                Some((bi, bd)) => d2 < bd || (d2 == bd && cur < bi),
-            };
-            if better {
-                best = Some((cur, d2));
-            }
-        }
-        best.expect("a built network has ≥ 2 stations")
     }
 
     /// Strongest live station under `att`:
@@ -1664,30 +1631,27 @@ impl DynamicTree {
 
 /// The proximity-dispatch backend: kd-tree nearest-*dominator* search.
 ///
-/// For uniform power the maximum-energy station *is* the nearest station
-/// (Observation 2.2), so each query needs one `O(log n)` nearest-
-/// neighbour search plus a single interference sum. For **non-uniform**
-/// power the analogous dispatch (Kantor–Lotker–Parter–Peleg) is a
-/// weighted Voronoi — power-diagram — cell lookup: the only station that
-/// can be heard at `p` is the one maximising `Pᵢ · att(d²)`, found by the
+/// The only station that can be heard at `p` is the one maximising
+/// `Pᵢ · att(d²)`: the weighted Voronoi — power-diagram — cell lookup of
+/// Kantor–Lotker–Parter–Peleg, which under uniform power names the
+/// nearest station (Observation 2.2). Each query finds it with the
 /// kd-tree's best-first branch-and-bound over per-subtree
-/// `(bbox, max power)` aggregates ([`KdTree::strongest_mapped`]). One
-/// weighted tree serves both regimes; the cheaper nearest walk is chosen
-/// per query whenever the current powers are uniform. Exact for all `β`
-/// (for `β ≤ 1` the strongest heard station is the strongest overall, by
-/// the same monotonicity as [`SinrEvaluator`]).
+/// `(bbox, max power)` aggregates ([`KdTree::strongest_mapped`]), then
+/// runs a single interference sum. Exact for all `β` (for `β ≤ 1` the
+/// strongest heard station is the strongest overall, by the same
+/// monotonicity as [`SinrEvaluator`]).
 ///
 /// The candidate interference sum rides the vectorized lanes of
 /// [`crate::simd`] (the same runtime kernel selection as
 /// [`SimdScan`](crate::simd::SimdScan), minus the argmax bookkeeping the
-/// kd-tree dispatch makes redundant), so this backend shares `SimdScan`'s
-/// numerical contract: answers match the scalar ground truth everywhere
-/// except within rounding tolerance of a `SINR = β` decision boundary.
+/// kd-tree dispatch makes redundant), so this backend answers
+/// bit-identically to a `SimdScan` with the same kernel: both match the
+/// scalar ground truth everywhere except within rounding tolerance of a
+/// `SINR = β` decision boundary.
 ///
 /// Under [`QueryEngine::apply`] the kd-tree is maintained through
 /// tombstones and an overflow list with a rebuild threshold (see
-/// `DynamicTree`); power deltas re-weight the index in place, so
-/// uniform ↔ non-uniform transitions no longer drop it.
+/// `DynamicTree`); power deltas re-weight the index in place.
 #[derive(Debug, Clone)]
 pub struct VoronoiAssisted {
     eval: SinrEvaluator,
@@ -1719,24 +1683,6 @@ impl VoronoiAssisted {
     pub fn kernel(&self) -> SimdKernel {
         self.kernel
     }
-
-    /// The proximity dispatch: nearest station under uniform power
-    /// (Observation 2.2 — no weight bookkeeping in the walk), strongest
-    /// station (`argmax Pᵢ · att(d²)`, the power-diagram cell) otherwise.
-    /// Either way the winner is the only station that can be heard, and
-    /// ties break toward the smallest index — the scan kernels' rule.
-    #[inline]
-    fn dispatch_candidate(&self, p: Point) -> (usize, f64) {
-        if self.eval.is_uniform_power() {
-            self.tree.nearest(p)
-        } else {
-            let (cand, d2, _) = self.eval.with_kernel(|_, k| match k {
-                DynKernel::Square(kk) => self.tree.strongest(p, |d2| kk.attenuation(d2)),
-                DynKernel::General(kk) => self.tree.strongest(p, |d2| kk.attenuation(d2)),
-            });
-            (cand, d2)
-        }
-    }
 }
 
 impl exact::Backend for VoronoiAssisted {
@@ -1752,23 +1698,6 @@ impl exact::Backend for VoronoiAssisted {
         self.kernel
     }
 
-    /// The tiled executor's per-point candidate rule for the current
-    /// powers: [`Select::Nearest`](crate::tile::Select::Nearest) under
-    /// uniform power (the kd-tree's nearest walk),
-    /// [`Select::MaxEnergy`](crate::tile::Select::MaxEnergy) otherwise
-    /// (the power-diagram argmax — identical winner to the weighted
-    /// walk, since both maximise the same per-station energies). The
-    /// per-tile candidate set plays the kd-tree's role: the winning
-    /// station always survives pruning under either rule.
-    #[inline]
-    fn select(&self) -> crate::tile::Select {
-        if self.eval.is_uniform_power() {
-            crate::tile::Select::Nearest
-        } else {
-            crate::tile::Select::MaxEnergy
-        }
-    }
-
     /// The exact scalar scan. Non-identity channel trials scale the
     /// powers per trial, which the tree's baked weights do not track,
     /// so the per-trial fallback cannot walk the tree.
@@ -1777,22 +1706,23 @@ impl exact::Backend for VoronoiAssisted {
         ev.locate_scalar(p)
     }
 
-    /// The tree walk plus one candidate interference sum. Cell
-    /// certificates are sound for it too: a certified `Reception` pins a
-    /// strict unique energy argmax, which is exactly the station the
-    /// power-diagram walk (and, under uniform power, the nearest walk)
-    /// selects; a certified `Silent` fails every station's test,
-    /// including whichever one the walk picks. The certificates'
-    /// envelopes are per-station and power-aware, so this holds for
-    /// every power assignment.
+    /// The strongest-station walk plus one candidate interference sum.
+    /// The walk and the scan kernels' argmax maximise the same
+    /// per-station energies with the same smallest-index tie rule, so
+    /// the tiled executor and the cell certificates, which certify
+    /// under [`Select::MaxEnergy`](crate::tile::Select::MaxEnergy),
+    /// name the station this walk names.
     #[inline]
     fn serial(&self, p: Point) -> Located {
-        let (cand, d2) = self.dispatch_candidate(p);
+        let (cand, d2, _) = self.eval.with_kernel(|_, k| match k {
+            DynKernel::Square(kk) => self.tree.strongest(p, |d2| kk.attenuation(d2)),
+            DynKernel::General(kk) => self.tree.strongest(p, |d2| kk.attenuation(d2)),
+        });
         if d2 == 0.0 {
             // At a station's position: reception by the `{sᵢ}` clause.
-            // Both walks break co-location ties toward the smallest
-            // index (all co-located stations tie at `d² = 0` /
-            // infinite strength), matching the scalar ground truth.
+            // The walk breaks co-location ties toward the smallest index
+            // (all co-located stations tie at infinite strength),
+            // matching the scalar ground truth.
             return Located::Reception(StationId(cand));
         }
         self.eval.decide_candidate(
@@ -1803,10 +1733,8 @@ impl exact::Backend for VoronoiAssisted {
 
     fn apply_delta(&mut self, delta: &NetworkDelta) -> Result<(), SyncError> {
         self.eval.apply(delta)?;
-        // The weighted index absorbs every delta kind — including power
-        // changes, which historically dropped the tree (the unweighted
-        // index could only serve uniform networks). Uniform ↔
-        // non-uniform transitions are now just re-weights.
+        // The weighted index absorbs every delta kind; power changes
+        // are re-weights.
         match delta.op() {
             DeltaOp::Add {
                 position, power, ..

@@ -35,9 +35,10 @@
 //!   ([`simd`] module): 8×`f64` AVX-512 or 4×`f64` AVX2 lanes detected
 //!   at runtime on x86-64, with SSE2 and portable scalar fallbacks;
 //!   per-lane compensated summation. The raw-throughput default.
-//! * [`VoronoiAssisted`] — kd-tree nearest-station dispatch per
-//!   Observation 2.2; exact for uniform power (falls back to the scan
-//!   otherwise) with smaller per-query constants.
+//! * [`VoronoiAssisted`] — weighted kd-tree dispatch to the strongest
+//!   station (the power-diagram cell; the nearest station under uniform
+//!   power, Observation 2.2); exact for every network, bit-identical to
+//!   a same-kernel [`SimdScan`], with smaller per-query constants.
 //! * `PointLocator` (crate `sinr-pointloc`) — the Theorem-3 structure:
 //!   `O(log n)` queries that may answer [`Located::Uncertain`] inside an
 //!   `ε`-area band along zone boundaries; requires uniform power,

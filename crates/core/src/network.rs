@@ -627,8 +627,8 @@ impl Network {
 
     /// The recommended batched query backend for this network: a
     /// [`VoronoiAssisted`](crate::engine::VoronoiAssisted) engine
-    /// (kd-tree dispatch for uniform power, exact-scan fallback
-    /// otherwise). Build it once, then use
+    /// (weighted kd-tree dispatch, exact for every power assignment).
+    /// Build it once, then use
     /// [`QueryEngine::locate_batch`](crate::engine::QueryEngine::locate_batch)
     /// for many points — `O(n)` per point instead of the scalar `O(n²)`.
     pub fn query_engine(&self) -> crate::engine::VoronoiAssisted {

@@ -746,8 +746,8 @@ impl crate::engine::exact::Backend for SimdScan {
 
 /// Vectorized single-candidate scan: the total energy `E(S, p)` plus the
 /// candidate station's own energy, with **no argmax bookkeeping** — the
-/// [`crate::engine::VoronoiAssisted`] hot path, where Observation 2.2
-/// has already named the only possible transmitter. Runs on the same
+/// [`crate::engine::VoronoiAssisted`] hot path, where the power-diagram
+/// walk has already named the only possible transmitter. Runs on the same
 /// lane kernels (and the same per-lane Neumaier compensation) as the
 /// full scans, selected by the same `kernel` machinery; `α ≠ 2` networks
 /// take the portable blocked kernel.

@@ -35,9 +35,8 @@
 //!    gathered candidate columns (through the same SIMD kernels as the
 //!    full scans — AVX-512/AVX2/SSE2/portable). Per-station energies are
 //!    bit-identical to the full scan's by kernel contract, so the argmax
-//!    choice is *exact*; it also serves the nearest-station rule (see
-//!    [`Select::Nearest`]) and [`locate_in_cell`]'s certificate
-//!    candidates. The reception test is then
+//!    choice is *exact*; the same scan serves [`locate_in_cell`]'s
+//!    certificate candidates. The reception test is then
 //!    evaluated at both ends of the residual interval: if both ends
 //!    agree, the decision is certified and emitted; if they disagree
 //!    (the point sits within the interval's width of the `SINR = β`
@@ -136,39 +135,24 @@ impl TileConfig {
     }
 }
 
-/// The candidate rule of the calling backend's serial path. Both rules
-/// run the same SIMD argmax scan over the candidates; `Select` only
-/// decides whether a certified reception may be answered from it.
+/// The candidate rule of the caller's `fallback`. Both rules run the
+/// same SIMD argmax scan over the candidates; `Select` only decides
+/// whether a certified reception may be answered from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Select {
-    /// Maximum-energy station (first index on exact energy ties) — the
-    /// rule of the full scans ([`crate::engine::ExactScan`],
-    /// [`crate::simd::SimdScan`]) *and* of
-    /// [`crate::engine::VoronoiAssisted`]'s power-diagram dispatch on
-    /// non-uniform networks (the candidate argmax over `Pᵢ · att(d²)`
-    /// is exactly the weighted kd-tree's nearest-dominator rule); exact
-    /// for every network. The station envelopes the executor prunes
-    /// with are per-station and power-aware, so pruning stays certified
-    /// under any power assignment.
+    /// Maximum-energy station (first index on exact energy ties): the
+    /// rule of every exact backend's serial path, exact for every
+    /// network. The station envelopes the executor prunes with are
+    /// per-station and power-aware, so pruning stays certified under
+    /// any power assignment.
     MaxEnergy,
-    /// Nearest station (first index on exact squared-distance ties) —
-    /// the Observation-2.2 dispatch [`crate::engine::VoronoiAssisted`]
-    /// uses when the current powers are uniform. Callers must not use
-    /// it otherwise (the engines never do — `VoronoiAssisted` switches
-    /// to `MaxEnergy` per batch when powers differ).
-    ///
-    /// Under uniform power the nearest station is also the strongest,
-    /// so the argmax names it except where another station's rounded
-    /// energy comes within a few ulps (`δ`) of the best. Such a near-tie
-    /// puts `≥ (1 − δ)·e_best·(1 + TOTAL_MARGIN)` into the interference
-    /// at the top of the certified bracket, so with `β ≥ 1` the
-    /// certified reception test fails and the point falls back to the
-    /// kd-tree. With `β < 1` two stations at different distances can
-    /// share the exact rounded energy and both pass: the first-index
-    /// argmax then names the farther one while the kd-tree names the
-    /// nearer one. So under `Nearest` with `β < 1` every certified
-    /// reception falls back; certified silence is answered under both
-    /// rules (every station's test fails where the argmax's does).
+    /// Nearest station (first index on exact squared-distance ties), for
+    /// uniform power only. With `β ≥ 1` a certified reception names the
+    /// nearest station (a rounded-energy near-tie fails the certified
+    /// test); with `β < 1` every certified reception falls back.
+    /// Certified silence is answered as under `MaxEnergy`. A max-energy
+    /// `fallback` stays exact too, since the guard only sends more
+    /// points to it.
     Nearest,
 }
 
@@ -659,8 +643,7 @@ impl Decider {
 /// backends pass their pinned kernel). Both selection rules run the same
 /// argmax scan; `select` names the rule `fallback` follows (see
 /// [`Select`]), and `Select::Nearest` additionally requires uniform
-/// power (the Observation-2.2 precondition — the caller's contract, as
-/// for [`crate::engine::VoronoiAssisted`]).
+/// power (the Observation-2.2 precondition, the caller's contract).
 ///
 /// Returns run statistics; answers are written into `out` at their
 /// original positions.
@@ -892,8 +875,8 @@ fn cell_silent(hi: f64, others_lo: f64, noise: f64, beta: f64) -> bool {
 /// proof about the serial kernels' rounded arithmetic at every point of
 /// the cell (see the per-test docs), and the scan/tree/SIMD backends
 /// agree wherever such a proof exists (their summation-order differences
-/// are inside [`TOTAL_MARGIN`], and a certified unique argmax is also
-/// the unique nearest station under uniform power). Anything the
+/// are inside [`TOTAL_MARGIN`], and a certified unique argmax is the
+/// station the weighted tree walk names). Anything the
 /// margins cannot prove comes back [`CellDecision::Mixed`] — never a
 /// wrong uniform claim. Degenerate cells (non-finite corners, stations
 /// inside the box, co-locations) degrade to `Mixed` through the
@@ -997,8 +980,8 @@ pub(crate) fn cell_certificate(
     // Reception needs a *unique* non-silent candidate whose own test is
     // certified: silence of every other station pins the argmax (an
     // argmax `m ≠ i` with `e_m ≥ e_i ≥ β·(I_i + N) ≥ β·(I_m + N) > e_m`
-    // is a contradiction), so every backend's selection rule lands on
-    // the certified station. Two certified receivers (possible for
+    // is a contradiction), so the argmax lands on the certified
+    // station. Two certified receivers (possible for
     // `β < 1`) stay `Mixed` — the argmax is not uniform there.
     let decision = if non_silent == 0 {
         CellDecision::Silent
@@ -1037,9 +1020,8 @@ pub(crate) fn cell_certificate(
 /// more than the batch executor's pruned one). Cost per point is
 /// `O(candidates)`: for boundary pixels of a quadtree refinement the
 /// candidate list is the handful of locally competitive stations, so
-/// even a modest hit rate beats full scans. `kernel` and `select` are
-/// the calling backend's pinned kernel and selection rule, as for
-/// [`locate_batch_tiled`].
+/// even a modest hit rate beats full scans. `kernel` is the calling
+/// backend's pinned kernel, as for [`locate_batch_tiled`].
 ///
 /// Soundness of answering from the candidates alone: every
 /// non-candidate station is frozen **certified-silent** over an ancestor
@@ -1048,12 +1030,9 @@ pub(crate) fn cell_certificate(
 /// `e_f ≥ e_c` would pass the reception test whenever `c` does (the
 /// test is monotone in energy at fixed total), contradicting its
 /// silence certificate; the same exclusion argument as
-/// [`CellDecision::Reception`]'s unique-argmax rule. Under
-/// `Select::Nearest` the global argmax is also the nearest station
-/// whenever `β ≥ 1` (see [`Select`]), and for `β < 1` the guard turns
-/// every reception into `None`. A certified failure answers `Silent`
-/// regardless of the selection rule: the argmax has the largest energy,
-/// so every station's test fails where its test fails.
+/// [`CellDecision::Reception`]'s unique-argmax rule. A certified
+/// failure answers `Silent`: the argmax has the largest energy, so every
+/// station's test fails where its test fails.
 ///
 /// # Panics
 ///
@@ -1061,7 +1040,6 @@ pub(crate) fn cell_certificate(
 pub fn locate_in_cell(
     eval: &SinrEvaluator,
     kernel: SimdKernel,
-    select: Select,
     cert: &CellCert,
     points: &[Point],
     out: &mut [Option<Located>],
@@ -1078,7 +1056,7 @@ pub fn locate_in_cell(
         eval.soa().0.len(),
         "certificate is for a different network"
     );
-    let decider = Decider::new(eval, kernel, select);
+    let decider = Decider::new(eval, kernel, Select::MaxEnergy);
     let soa = eval.soa();
     let mut cands = Candidates::with_capacity(cert.cands.len());
     for &j in &cert.cands {

@@ -75,9 +75,8 @@ fn networks() -> impl Strategy<Value = Network> {
 fn random_op(rng: &mut rand::rngs::StdRng, net: &mut Network) -> NetworkDelta {
     let choice: usize = rng.gen_range(0..8);
     match choice {
-        // Adds: half uniform power (keeps VoronoiAssisted on the
-        // nearest walk), half weighted (exercises the power-diagram
-        // dispatch and the re-weighting transition).
+        // Adds: half uniform power, half weighted (exercises the
+        // re-weighting transition).
         0 | 1 => {
             let p = Point::new(rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0));
             let power = if choice == 0 {
@@ -103,7 +102,7 @@ fn random_op(rng: &mut rand::rngs::StdRng, net: &mut Network) -> NetworkDelta {
         }
         // Power back to 1 (also the 2|3 guard fallthrough): exercises
         // the non-uniform → uniform transition (VoronoiAssisted must
-        // switch back to the nearest walk without dropping the tree).
+        // re-weight without dropping the tree).
         _ => {
             let i = rng.gen_range(0..net.len());
             net.set_power(StationId(i), 1.0).expect("valid power")

@@ -9,6 +9,8 @@
 //!   match everywhere except within numeric tolerance of a reception
 //!   boundary (where the amortized one-pass arithmetic may round the
 //!   `SINR = β` tie the other way);
+//! * [`VoronoiAssisted`] answers bit-identically to a [`SimdScan`] pinned
+//!   to its kernel, on uniform and non-uniform networks alike;
 //! * the Theorem-3 `PointLocator` (crate `sinr-pointloc`) may answer
 //!   `Uncertain`, but only near the zone boundary `∂Hᵢ`; its definite
 //!   answers must be correct.
@@ -188,6 +190,35 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The uniform-power twin of the property above: equal weights make
+    /// the strongest-station walk name the nearest station, with the
+    /// scan's first-index tie rule, so the answers are bit-identical to
+    /// `SimdScan` pinned to the same kernel, boundaries and `β < 1`
+    /// included.
+    #[test]
+    fn uniform_power_weighted_dispatch_bit_identical_to_simd(
+        (n, seed, alpha_idx, beta_idx) in (2usize..7, any::<u64>(), 0usize..2, 0usize..3),
+    ) {
+        let mut b = Network::builder()
+            .background_noise(0.01)
+            .threshold([0.5, 1.0, 1.5][beta_idx])
+            .path_loss([2.0, 3.0][alpha_idx]);
+        for p in separated_points(seed, n) {
+            b = b.station(p);
+        }
+        let net = b.build().expect("≥ 2 separated stations");
+        prop_assert!(net.is_uniform_power());
+
+        let voronoi = VoronoiAssisted::new(&net);
+        let simd = SimdScan::with_kernel(SinrEvaluator::new(&net), voronoi.kernel());
+        let points = sample_points(&net);
+        let mut voronoi_out = vec![Located::Silent; points.len()];
+        let mut simd_out = vec![Located::Silent; points.len()];
+        voronoi.locate_batch(&points, &mut voronoi_out);
+        simd.locate_batch(&points, &mut simd_out);
+        prop_assert_eq!(&voronoi_out, &simd_out);
     }
 
     /// Per-kernel pinning of the weighted path: for every supported SIMD

@@ -19,9 +19,9 @@
 //!   than the network);
 //! * non-finite query points take the wholesale-fallback tile and still
 //!   match the serial path;
-//! * the nearest-station rule matches the kd-tree, tiled and through
-//!   `locate_in_cell`, including at a hostile exact energy tie under
-//!   `β < 1`.
+//! * `VoronoiAssisted`'s strongest-station walk matches a same-kernel
+//!   `SimdScan`, serial, tiled and through `locate_in_cell`, including
+//!   at a hostile exact energy tie under `β < 1`.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -272,7 +272,8 @@ fn direct_executor_matches_serial_under_custom_configs() {
 /// lies one ulp of squared distance nearer than station `B`, yet `1/d²`
 /// rounds to the same energy for both, so both pass the reception test
 /// there. `B` sits at the smaller index, so the first-index argmax names
-/// `B` while the kd-tree names `A`. The other stations are far away.
+/// `B` where the nearest-station rule would name `A`. The other stations
+/// are far away.
 fn hostile_tie_case() -> (Network, Vec<Point>) {
     let b = Point::new(0.6998643962544917, -1.1870441553945856);
     let a = Point::new(-0.9534461862073409, 0.9948991758001339);
@@ -289,52 +290,64 @@ fn hostile_tie_case() -> (Network, Vec<Point>) {
     (Network::uniform(stations, 0.01, 0.5).unwrap(), queries)
 }
 
-/// Nearest-mode certification against the kd-tree serial path, driven
-/// directly (uniform power only — the Observation-2.2 precondition),
-/// plus `locate_in_cell` under a certificate of the batch's bounding
-/// box.
+/// `VoronoiAssisted` against a same-kernel `SimdScan`: its batch path,
+/// the tiled executor under `Select::MaxEnergy` driven directly, and
+/// `locate_in_cell` under a certificate of the batch's bounding box all
+/// answer as the scan does, and on the tie network name the first index.
+/// The tiled executor under the nearest-station rule, with the engine's
+/// `locate` as fallback, still replays that `locate` exactly.
 #[test]
-fn direct_executor_nearest_matches_tree_path() {
+fn voronoi_assisted_matches_same_kernel_simd_scan() {
     let net = big_network(61, 256, true);
     let points = query_batch(&net, 3000, 0xF00);
     for (net, points) in [(net, points), hostile_tie_case()] {
-        let engine = VoronoiAssisted::new(&net);
-        let eval = SinrEvaluator::new(&net);
+        let va = VoronoiAssisted::new(&net);
+        let simd = SimdScan::with_kernel(SinrEvaluator::new(&net), va.kernel());
+        let want: Vec<Located> = points.iter().map(|p| simd.locate(*p)).collect();
+        let mut batch = vec![Located::Silent; points.len()];
+        va.locate_batch(&points, &mut batch);
         let cfg = TileConfig {
             tile_points: 128,
             min_stations: 2,
             min_points: 1,
         };
-        let mut out = vec![Located::Silent; points.len()];
-        tile::locate_batch_tiled(
-            &eval,
-            SimdKernel::detect(),
-            Select::Nearest,
-            &points,
-            &mut out,
-            &cfg,
-            |p| engine.locate(p),
-        );
-        for (p, got) in points.iter().zip(&out) {
-            assert_eq!(*got, engine.locate(*p), "nearest-mode mismatch at {p}");
-        }
+        let tiled = |select| {
+            let mut out = vec![Located::Silent; points.len()];
+            let eval = va.evaluator();
+            tile::locate_batch_tiled(eval, va.kernel(), select, &points, &mut out, &cfg, |p| {
+                va.locate(p)
+            });
+            out
+        };
+        let (max_energy, nearest) = (tiled(Select::MaxEnergy), tiled(Select::Nearest));
         let (min, max) = bounding_box(&points);
-        let cert = engine
+        let cert = va
             .sinr_bounds_cell(min, max, None)
             .expect("VoronoiAssisted certifies cells");
         let mut in_cell = vec![None; points.len()];
-        assert!(engine.locate_in_cell(&cert, &points, &mut in_cell));
-        for (p, got) in points.iter().zip(&in_cell) {
-            if let Some(got) = got {
-                assert_eq!(*got, engine.locate(*p), "locate_in_cell mismatch at {p}");
+        assert!(va.locate_in_cell(&cert, &points, &mut in_cell));
+        for (k, p) in points.iter().enumerate() {
+            assert_eq!(batch[k], want[k], "locate_batch mismatch at {p}");
+            assert_eq!(max_energy[k], want[k], "max-energy tiled mismatch at {p}");
+            assert_eq!(
+                nearest[k],
+                va.locate(*p),
+                "nearest-mode replay mismatch at {p}"
+            );
+            if let Some(got) = in_cell[k] {
+                assert_eq!(got, want[k], "locate_in_cell mismatch at {p}");
             }
         }
     }
+    let (net, _) = hostile_tie_case();
+    let va = VoronoiAssisted::new(&net);
+    let simd = SimdScan::with_kernel(SinrEvaluator::new(&net), va.kernel());
+    assert_eq!(simd.locate(Point::ORIGIN), Located::Reception(StationId(0)));
+    assert_eq!(va.locate(Point::ORIGIN), Located::Reception(StationId(0)));
 }
 
 /// Max-energy-mode certification against the *weighted* kd-tree serial
-/// path, driven directly on a non-uniform network — the power-diagram
-/// analogue of the nearest-mode test above: the tiled executor's
+/// path, driven directly on a non-uniform network: the tiled executor's
 /// candidate argmax and the tree's best-first `strongest` walk must
 /// select the same dominator everywhere.
 #[test]

@@ -6,8 +6,9 @@
 //! batched query engine of `sinr_core`: all pixel centres are collected
 //! once and answered through
 //! [`QueryEngine::locate_batch`] —
-//! work-stolen across cores, with the Observation 2.2 nearest-station
-//! dispatch for uniform power networks. Any backend works; see
+//! work-stolen across cores, with the weighted kd-tree dispatch to the
+//! strongest station (the nearest one under uniform power, Observation
+//! 2.2). Any backend works; see
 //! [`locate_raster`].
 
 use sinr_core::engine::{Located, QueryEngine};
@@ -219,9 +220,9 @@ impl ReceptionMap {
     ///
     /// All pixels are answered in one
     /// [`locate_batch`](QueryEngine::locate_batch) pass through the
-    /// network's recommended engine — kd-tree nearest-station dispatch
-    /// (Observation 2.2) for uniform power, the exact SoA scan otherwise,
-    /// work-stolen across cores either way.
+    /// network's recommended engine — weighted kd-tree dispatch to the
+    /// strongest station for every power assignment — work-stolen across
+    /// cores.
     pub fn compute(net: &Network, window: BBox, width: usize, height: usize) -> Self {
         ReceptionMap::compute_with_engine(&net.query_engine(), window, width, height)
     }

@@ -62,8 +62,8 @@ pub enum BackendId {
     /// `1` — [`sinr_core::SimdScan`]: the vectorized exact scan.
     SimdScan,
     /// `2` — [`sinr_core::VoronoiAssisted`]: weighted kd-tree dispatch
-    /// for every power assignment — nearest-station (Observation 2.2)
-    /// under uniform power, power-diagram cells otherwise.
+    /// to the power-diagram cell for every power assignment (the
+    /// nearest station under uniform power, Observation 2.2).
     VoronoiAssisted,
     /// `3` — the Theorem-3 `PointLocator` of `sinr-pointloc`:
     /// `O(log n)` queries, may answer [`Located::Uncertain`]; requires

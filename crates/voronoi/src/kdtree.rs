@@ -200,31 +200,6 @@ impl KdTree {
         Some((best.0, best.1.sqrt()))
     }
 
-    /// The nearest site under a relabelling: `map` sends each kd-tree
-    /// site slot to its *current* label, or `None` for a tombstoned slot
-    /// (which is skipped). Ties at equal squared distance break toward
-    /// the smallest **label** — matching what [`KdTree::nearest`] over a
-    /// freshly built tree of the live sites would report. Returns
-    /// `(label, squared_distance)`, or `None` when the tree is empty or
-    /// every slot is tombstoned.
-    ///
-    /// This is the query path of incrementally maintained trees (the
-    /// engine-side tombstone + overflow scheme of
-    /// `sinr_core::engine::VoronoiAssisted`): the static tree structure
-    /// is untouched, dead slots merely stop contributing candidates —
-    /// pruning stays conservative, so correctness is unaffected.
-    pub fn nearest_mapped<F>(&self, q: Point, map: F) -> Option<(usize, f64)>
-    where
-        F: Fn(usize) -> Option<usize>,
-    {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        self.search_mapped(0, q, &map, &mut best);
-        best
-    }
-
     /// The site maximising `weight · att(d²(q, site))` under a
     /// relabelling — the power-diagram (weighted Voronoi) cell lookup.
     ///
@@ -308,41 +283,6 @@ impl KdTree {
         }
         if second != NONE && not_pruned(second_ub, best) {
             self.search_strongest(second, q, att, map, best);
-        }
-    }
-
-    fn search_mapped<F>(&self, node_idx: usize, q: Point, map: &F, best: &mut Option<(usize, f64)>)
-    where
-        F: Fn(usize) -> Option<usize>,
-    {
-        let node = self.nodes[node_idx];
-        let site = self.sites[node.site];
-        if let Some(label) = map(node.site) {
-            let d2 = site.dist_sq(q);
-            let better = match *best {
-                None => true,
-                Some((bl, bd)) => d2 < bd || (d2 == bd && label < bl),
-            };
-            if better {
-                *best = Some((label, d2));
-            }
-        }
-        let diff = if node.axis == 0 {
-            q.x - site.x
-        } else {
-            q.y - site.y
-        };
-        let (near, far) = if diff <= 0.0 {
-            (node.left, node.right)
-        } else {
-            (node.right, node.left)
-        };
-        if near != NONE {
-            self.search_mapped(near, q, map, best);
-        }
-        let radius = best.map_or(f64::INFINITY, |(_, d)| d);
-        if far != NONE && diff * diff <= radius {
-            self.search_mapped(far, q, map, best);
         }
     }
 
@@ -451,34 +391,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn nearest_mapped_skips_tombstones_and_relabels() {
-        let sites = pseudo_points(200, 0xABBA, 20.0);
-        let tree = KdTree::build(sites.clone());
-        // Tombstone every third site; relabel the rest by `+ 1000`.
-        let map = |s: usize| (!s.is_multiple_of(3)).then_some(s + 1000);
-        let queries = pseudo_points(100, 0x5EED, 25.0);
-        for q in queries {
-            let got = tree.nearest_mapped(q, map);
-            // Brute force over live sites with the same tie rule.
-            let mut want: Option<(usize, f64)> = None;
-            for (s, p) in sites.iter().enumerate() {
-                let Some(label) = map(s) else { continue };
-                let d2 = p.dist_sq(q);
-                let better = match want {
-                    None => true,
-                    Some((bl, bd)) => d2 < bd || (d2 == bd && label < bl),
-                };
-                if better {
-                    want = Some((label, d2));
-                }
-            }
-            assert_eq!(got, want, "nearest_mapped mismatch at {q}");
-        }
-        // Everything tombstoned → no answer.
-        assert_eq!(tree.nearest_mapped(Point::ORIGIN, |_| None), None);
     }
 
     /// Brute-force weighted argmax with the exact tie rule of

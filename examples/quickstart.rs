@@ -32,9 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  heard_at({p}) = {:?}", net.heard_at(p));
 
     // --- 2b. Batched queries through the engine --------------------------
-    // Build once (SoA layout + weighted kd-tree dispatch: nearest
-    // station under uniform power per Observation 2.2, the
-    // power-diagram cell otherwise), then answer many points in one
+    // Build once (SoA layout + weighted kd-tree dispatch to the
+    // power-diagram cell, which under uniform power is the nearest
+    // station's, Observation 2.2), then answer many points in one
     // work-stolen parallel pass: O(n) per point instead of the scalar
     // O(n²).
     let engine = net.query_engine();
