@@ -170,10 +170,10 @@
 //! the frozen residual bracket, `O(candidates)` per point,
 //! bit-identical to [`QueryEngine::locate`] wherever the margins pin
 //! the answer), so refinement leaves only the truly ambiguous sliver
-//! of points to full batched evaluation. The default implementations
-//! return `None`/`false` — backends without sound envelopes (the
-//! ε-approximate Theorem-3 locator) opt out, and callers degrade to
-//! dense evaluation. `sinr-diagram` builds hierarchical rasterisation
+//! of points to a full [`QueryEngine::locate`]. The default
+//! implementations return `None`/`false` — backends without sound
+//! envelopes (the ε-approximate Theorem-3 locator) opt out, and callers
+//! degrade to dense evaluation. `sinr-diagram` builds hierarchical rasterisation
 //! on exactly this contract.
 //!
 //! ## Stochastic channels
@@ -1119,18 +1119,17 @@ pub trait QueryEngine {
     /// [`QueryEngine::locate`] answer when the certificate's surviving
     /// candidates plus its frozen residual bracket pin the decision
     /// ([`crate::tile::locate_in_cell`] — `O(candidates)` instead of a
-    /// full scan), `None` when they cannot — those points belong on
-    /// [`QueryEngine::locate_batch`]. Returns `true` when the backend
+    /// full scan), `None` when they cannot — the caller answers those
+    /// with [`QueryEngine::locate`]. Returns `true` when the backend
     /// supports the path at all. Every `Some` is bit-identical to
-    /// `locate_batch` on the same point. This is how the quadtree
-    /// rasteriser keeps boundary pixels cheap: their spatial scatter
-    /// defeats batch-level tile pruning, but the refinement already
-    /// holds a tight certificate for each one.
+    /// `locate` (and so to `locate_batch`) on the same point. This is
+    /// how the quadtree rasteriser keeps boundary pixels cheap: the
+    /// refinement already holds a tight certificate for each one.
     ///
     /// The default declines with `false` (`out` untouched) — paired
-    /// with [`QueryEngine::sinr_bounds_cell`]'s default, so backends
-    /// without certificates route consumers back to
-    /// [`QueryEngine::locate_batch`].
+    /// with [`QueryEngine::sinr_bounds_cell`]'s default, so consumers
+    /// of a backend without certificates answer every point with
+    /// [`QueryEngine::locate`].
     ///
     /// # Panics
     ///
@@ -1366,7 +1365,7 @@ impl<T: exact::Backend> QueryEngine for T {
     ) -> bool {
         let eval = self.eval();
         eval.assert_fresh();
-        // Uncertifiable points stay `None` for the caller's batch path.
+        // Uncertifiable points stay `None` for the caller's `locate`.
         crate::tile::locate_in_cell(eval, self.scan_kernel(), cert, points, out);
         true
     }

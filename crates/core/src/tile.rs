@@ -739,7 +739,7 @@ const SUM_SLACK: f64 = 1e-11;
 /// per-point certified path ([`locate_in_cell`]), whose hit rate near
 /// the `β` boundary is set directly by the accumulated frozen width
 /// (a point whose reception margin is smaller than the frozen residual
-/// cannot be pinned and falls through to the batched serial kernel).
+/// cannot be pinned and falls through to the backend's `O(n)` `locate`).
 /// That uncertifiable band has a fixed width in the plane, so it spans
 /// more pixels as the raster resolution grows; looser values make
 /// certificates cheaper but widen the band that goes to the `O(n)`
@@ -1015,13 +1015,12 @@ pub(crate) fn cell_certificate(
 /// plus the certificate's frozen residual bracket `[frozen_lo,
 /// frozen_hi]`. A `Some` answer is **bit-identical to the backend's own
 /// `locate`** at that point; points whose decision sits inside the
-/// residual interval come back `None`, and the caller keeps them on its
-/// ordinary batch path (re-running a full per-point scan here would cost
-/// more than the batch executor's pruned one). Cost per point is
-/// `O(candidates)`: for boundary pixels of a quadtree refinement the
-/// candidate list is the handful of locally competitive stations, so
-/// even a modest hit rate beats full scans. `kernel` is the calling
-/// backend's pinned kernel, as for [`locate_batch_tiled`].
+/// residual interval come back `None`, and the caller answers them with
+/// the backend's own `locate`. Cost per point is `O(candidates)`: for
+/// boundary pixels of a quadtree refinement the candidate list is the
+/// handful of locally competitive stations, so even a modest hit rate
+/// beats full scans. `kernel` is the calling backend's pinned kernel, as
+/// for [`locate_batch_tiled`].
 ///
 /// Soundness of answering from the candidates alone: every
 /// non-candidate station is frozen **certified-silent** over an ancestor

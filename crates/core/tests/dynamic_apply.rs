@@ -27,21 +27,6 @@ use sinr_core::{gen, Network, NetworkDelta, NetworkError, SinrEvaluator, Station
 use sinr_geometry::{Point, Vector};
 use sinr_pointloc::{PointLocator, QdsConfig};
 
-/// Separated stations (non-degenerate zones, honest numerics).
-fn separated_points(seed: u64, n: usize) -> Vec<Point> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut pts: Vec<Point> = Vec::with_capacity(n);
-    let mut guard = 0;
-    while pts.len() < n && guard < 10_000 {
-        guard += 1;
-        let cand = Point::new(rng.gen_range(-5.0..=5.0), rng.gen_range(-5.0..=5.0));
-        if pts.iter().all(|p| p.dist(cand) >= 0.8) {
-            pts.push(cand);
-        }
-    }
-    pts
-}
-
 /// Initial networks: uniform and non-uniform power, α ∈ {2, 3, 4}, β
 /// above and below 1 — the full space the engines claim.
 fn networks() -> impl Strategy<Value = Network> {
@@ -53,7 +38,8 @@ fn networks() -> impl Strategy<Value = Network> {
         any::<bool>(),
     )
         .prop_map(|(n, seed, alpha_idx, uniform, beta_low)| {
-            let pts = separated_points(seed, n);
+            let pts =
+                gen::min_separation(&mut rand::rngs::StdRng::seed_from_u64(seed), n, 5.0, 0.8);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD11A);
             let beta = if beta_low { 0.6 } else { 1.8 };
             let mut b = Network::builder()

@@ -18,25 +18,11 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sinr_core::engine::{ExactScan, Located, QueryEngine, VoronoiAssisted};
+use sinr_core::gen::min_separation;
 use sinr_core::simd::{SimdKernel, SimdScan};
 use sinr_core::{Network, SinrEvaluator};
 use sinr_geometry::{Point, Vector};
 use sinr_pointloc::{PointLocator, QdsConfig};
-
-/// Separated station layouts (non-degenerate zones, honest numerics).
-fn separated_points(seed: u64, n: usize) -> Vec<Point> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut pts: Vec<Point> = Vec::with_capacity(n);
-    let mut guard = 0;
-    while pts.len() < n && guard < 10_000 {
-        guard += 1;
-        let cand = Point::new(rng.gen_range(-5.0..=5.0), rng.gen_range(-5.0..=5.0));
-        if pts.iter().all(|p| p.dist(cand) >= 0.8) {
-            pts.push(cand);
-        }
-    }
-    pts
-}
 
 /// Random networks across the whole parameter space the engine claims to
 /// support: uniform and per-station power, `α ∈ {2, 3, 4}`, `β` above and
@@ -51,7 +37,7 @@ fn networks() -> impl Strategy<Value = Network> {
         0.0f64..0.05,
     )
         .prop_map(|(n, seed, alpha_idx, uniform, beta_low, noise)| {
-            let pts = separated_points(seed, n);
+            let pts = min_separation(&mut rand::rngs::StdRng::seed_from_u64(seed), n, 5.0, 0.8);
             let alpha = [2.0, 3.0, 4.0][alpha_idx];
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
             let beta = if beta_low {
@@ -156,7 +142,7 @@ proptest! {
     fn non_uniform_power_uses_weighted_dispatch(
         (n, seed) in (2usize..7, any::<u64>()),
     ) {
-        let pts = separated_points(seed, n);
+        let pts = min_separation(&mut rand::rngs::StdRng::seed_from_u64(seed), n, 5.0, 0.8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD15C);
         let mut b = Network::builder().background_noise(0.01).threshold(1.5);
         // At least one station with power ≠ 1 makes the assignment
@@ -205,7 +191,7 @@ proptest! {
             .background_noise(0.01)
             .threshold([0.5, 1.0, 1.5][beta_idx])
             .path_loss([2.0, 3.0][alpha_idx]);
-        for p in separated_points(seed, n) {
+        for p in min_separation(&mut rand::rngs::StdRng::seed_from_u64(seed), n, 5.0, 0.8) {
             b = b.station(p);
         }
         let net = b.build().expect("≥ 2 separated stations");
@@ -231,7 +217,7 @@ proptest! {
     fn weighted_dispatch_bit_identical_per_kernel(
         (n, seed) in (3usize..8, any::<u64>()),
     ) {
-        let pts = separated_points(seed, n);
+        let pts = min_separation(&mut rand::rngs::StdRng::seed_from_u64(seed), n, 5.0, 0.8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11A);
         let mut b = Network::builder()
             .background_noise(0.02)
@@ -290,7 +276,7 @@ proptest! {
 /// Theorem-3 preconditions: uniform power, `α = 2`, `β > 1`.
 fn theorem3_networks() -> impl Strategy<Value = Network> {
     (2usize..5, any::<u64>(), 0.0f64..0.03).prop_map(|(n, seed, noise)| {
-        let pts = separated_points(seed, n);
+        let pts = min_separation(&mut rand::rngs::StdRng::seed_from_u64(seed), n, 5.0, 0.8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF00D);
         let beta = rng.gen_range(1.3..3.5);
         Network::uniform(pts, noise, beta).expect("valid network")

@@ -12,11 +12,11 @@
 //! ([`CellDecision::Reception`] or [`CellDecision::Silent`]) for all of
 //! its points is resolved wholesale, and only cells the certificate
 //! leaves [`CellDecision::Mixed`] are subdivided — down to pixel
-//! resolution, where the surviving pixels are answered
-//! per-point *against the certificate in hand*
-//! ([`QueryEngine::locate_in_cell`] — candidate-only certified
-//! decisions, `O(candidates)` per pixel), and only what neither path
-//! resolves goes to ordinary [`QueryEngine::locate_batch`] calls.
+//! resolution. A leaf tries its pixels *against the certificate in
+//! hand* ([`QueryEngine::locate_in_cell`] — candidate-only certified
+//! decisions, `O(candidates)` per pixel) and answers each pixel the
+//! certificate cannot pin with the backend's own
+//! [`QueryEngine::locate`], right there.
 //!
 //! ## Runs, not pixels
 //!
@@ -25,18 +25,14 @@
 //! product of [`hierarchical_map`] is a [`ReceptionRuns`] — maximal
 //! row-major runs, bottom row first — and no dense label buffer is ever
 //! allocated. Refinement records *pieces* `(row, c0, c1, label)`: a
-//! certified cell is one piece per row, a per-pixel answer extends the
-//! previous piece when it continues it, and unresolved pixels are
-//! recorded as pending row ranges. The boundary pass locates the pending
-//! ranges in bounded chunks (`BOUNDARY_CHUNK` points per
-//! `locate_batch`). Each worker's pieces are bucketed by row in place
-//! (a counting sort), each row gathers its pieces from every worker and
-//! orders them by column, and one merge of equal neighbours (across row
-//! ends too) turns them into runs. Memory is `O(pieces + chunk)`; for a
-//! backend without certificates, whose root leaves every row pending,
-//! that is one pending range per row plus the answered pieces, which
-//! track the runs, not the pixels. [`ReceptionRuns::expand`]
-//! is the thin dense expansion for callers who want a [`ReceptionMap`].
+//! certified cell is one piece per row, and a piece that continues its
+//! row's latest piece with the same label extends it, so leaves answered
+//! pixel by pixel add pieces per run, not per pixel. Each worker's
+//! pieces are bucketed by row in place (a counting sort), each row
+//! gathers its pieces from every worker and orders them by column, and
+//! one merge of equal neighbours (across row ends too) turns them into
+//! runs. [`ReceptionRuns::expand`] is the thin dense expansion for
+//! callers who want a [`ReceptionMap`].
 //!
 //! ## The equivalence contract
 //!
@@ -47,53 +43,47 @@
 //!   every point of the cell (the margins in `sinr-core::tile` are
 //!   one-sided — looseness degrades to `Mixed`, never to a wrong uniform
 //!   claim);
-//! * every other pixel is answered by the backend itself — through
-//!   `locate_in_cell` (certified candidate-only decisions with the
-//!   backend's serial kernel as fallback, pinned bit-identical to its
-//!   `locate`) or its own `locate_batch`, whose per-point answers are
-//!   order- and composition-independent (the permutation-invariance
-//!   differential suites pin this), so batching only the *unresolved*
-//!   pixels, in chunks, changes nothing;
+//! * every other pixel is answered by the backend itself: a `Some` of
+//!   `locate_in_cell` is pinned bit-identical to its `locate`, and
+//!   `locate` is what its `locate_batch` answers at every point;
 //! * a backend without certificates (`sinr_bounds_cell` → `None`, e.g.
-//!   the approximate Theorem-3 locator) degrades to exactly the dense
-//!   evaluation: every pixel is pending and goes through the chunked
-//!   boundary pass.
+//!   the approximate Theorem-3 locator) splits every cell without one,
+//!   so every pixel is a leaf pixel answered by `locate`: exactly the
+//!   dense evaluation.
 //!
 //! ## Parallel refinement
 //!
-//! The first `SERIAL_LEVELS` (3) levels of the quadtree are certified
-//! serially. Every `Mixed` cell on the last of them hands its children
-//! to `sinr-core`'s work-stealing scheduler ([`steal_tiles`]) as
-//! independent subtrees, at most 64, each with a shared (`Arc`) copy of
-//! its parent certificate. A worker refines each subtree it claims to
-//! pixel resolution, collecting its pieces, pending ranges and counters
-//! in per-worker scratch; workers share nothing writable. On one core
-//! the scheduler runs the same subtrees inline.
+//! The first `SERIAL_LEVELS` (3) levels of the quadtree are refined
+//! serially. Every cell that splits on the last of them hands its
+//! children to `sinr-core`'s work-stealing scheduler ([`steal_tiles`])
+//! as independent subtrees, at most 64, each with a shared (`Arc`) copy
+//! of its parent certificate, if any. A worker refines each subtree it
+//! claims to pixel resolution, collecting its pieces and counters in
+//! per-worker scratch; workers share nothing writable. On one core the
+//! scheduler runs the same subtrees inline.
 //!
 //! Scheduling cannot change a run: a cell's certificate depends only on
 //! the cell and its parent certificate, so a subtree computes the same
 //! certificates, fills and per-pixel answers whichever worker runs it
-//! and when; the pending pixels reach `locate_batch` in a
-//! scheduling-dependent order, but its per-point answers are
-//! order-independent; the pieces are sorted before they are merged; and
-//! the counters are sums.
+//! and when; the pieces are sorted before they are merged; and the
+//! counters are sums.
 //!
 //! The payoff is reported, not assumed: [`HierarchicalStats`] carries
 //! the evaluated-pixel fraction (the `cells_evaluated / pixels` metric
 //! the perf harness trends).
 
 use crate::raster::{assert_window, pixel_center, PixelLabel, Raster, ReceptionMap};
-use sinr_core::engine::{Located, QueryEngine, BATCH_TILE};
+use sinr_core::engine::{Located, QueryEngine};
 use sinr_core::tile::{steal_tiles, CellCert, CellDecision};
 use sinr_core::{Network, StationId};
 use sinr_geometry::{BBox, Point};
 use std::sync::Arc;
 
-/// Below this many pixels a region skips certification and goes straight
-/// to the batched per-pixel evaluation: a certificate costs at least a
-/// candidate re-envelope pass, which cannot pay for itself on 1–3
-/// pixels. Recursion therefore bottoms out at 2×2 cells — small enough
-/// that the unresolved band hugs the zone boundaries at pixel scale.
+/// Below this many pixels a region skips certification and is answered
+/// pixel by pixel: a certificate costs at least a candidate re-envelope
+/// pass, which cannot pay for itself on 1–3 pixels. Recursion therefore
+/// bottoms out at 2×2 cells — small enough that the unresolved band
+/// hugs the zone boundaries at pixel scale.
 const MIN_CERT_PIXELS: usize = 4;
 
 /// Quadtree levels certified serially before the refinement fans out:
@@ -110,18 +100,18 @@ const SERIAL_LEVELS: usize = 3;
 pub struct HierarchicalStats {
     /// Total pixels of the raster (`width · height`).
     pub pixels: u64,
-    /// Pixels answered by the backend's per-point paths
-    /// (`locate_in_cell` against the enclosing certificate, or the
-    /// boundary pass's `locate_batch`) because no cell-level
-    /// certificate resolved them wholesale — the cost driver, and the
-    /// numerator of [`HierarchicalStats::fraction`].
+    /// Pixels answered one by one in a quadtree leaf
+    /// (`locate_in_cell` against the enclosing certificate, else the
+    /// backend's `locate`) because no cell-level certificate resolved
+    /// them wholesale — the cost driver, and the numerator of
+    /// [`HierarchicalStats::fraction`].
     pub cells_evaluated: u64,
     /// Interval certificates computed during refinement.
     pub certificates: u64,
     /// Of [`HierarchicalStats::cells_evaluated`], pixels answered by the
     /// per-point certified path ([`QueryEngine::locate_in_cell`] against
     /// the enclosing cell's certificate, `O(candidates)` each); the
-    /// remainder went through the boundary pass's `locate_batch`.
+    /// remainder paid the backend's full `locate`.
     pub point_certified: u64,
     /// Pixels resolved wholesale by a certified uniform cell decision.
     pub certified_pixels: u64,
@@ -147,13 +137,6 @@ impl HierarchicalStats {
         }
     }
 }
-
-/// Pending pixels located per [`QueryEngine::locate_batch`] call in the
-/// boundary pass: large enough that the tiled executor sees full
-/// Morton tiles (a multiple of [`BATCH_TILE`]), small enough that the
-/// pass's point and answer buffers stay at 1 MiB however many pixels
-/// are pending.
-const BOUNDARY_CHUNK: usize = 64 * BATCH_TILE;
 
 /// A reception map as maximal row-major label runs, bottom row first —
 /// the product of [`hierarchical_map`].
@@ -238,9 +221,8 @@ impl Region {
     }
 }
 
-/// Columns `[c0, c1)` of one row, all labelled `label` (or, as a pending
-/// range, all still unresolved). 16 bytes: the label is packed
-/// ([`pack`]).
+/// Columns `[c0, c1)` of one row, all labelled `label`. 16 bytes: the
+/// label is packed ([`pack`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Piece {
     row: u32,
@@ -282,18 +264,6 @@ fn unpack(code: u32) -> PixelLabel {
     }
 }
 
-/// Appends the pixel `(col, row)` to `pieces`, extending the last piece
-/// when the pixel continues it with the same label.
-fn push_pixel(pieces: &mut Vec<Piece>, col: usize, row: usize, label: PixelLabel) {
-    let piece = Piece::new(row, col, col + 1, label);
-    match pieces.last_mut() {
-        Some(last) if last.row == piece.row && last.c1 == piece.c0 && last.label == piece.label => {
-            last.c1 = piece.c1
-        }
-        _ => pieces.push(piece),
-    }
-}
-
 /// The read-only side of a refinement, shared by every worker.
 struct Grid<'a, E: ?Sized> {
     engine: &'a E,
@@ -309,24 +279,50 @@ impl<E: ?Sized> Grid<'_, E> {
 }
 
 /// A `Mixed` cell's child handed to the scheduler, with the certificate
-/// of the cell it came from.
+/// of the cell it came from (`None` for a backend without certificates).
 struct Subtree {
     region: Region,
-    parent: Arc<CellCert>,
+    parent: Option<Arc<CellCert>>,
 }
 
-/// One worker's scratch: the pieces its regions resolved, the row
-/// ranges they left unresolved, and its counters. The serial levels use
-/// one too.
+/// What a region's own certificate settles.
+enum Outcome {
+    /// Every pixel of the region is answered.
+    Filled,
+    /// The region must be subdivided, under its own `Mixed` certificate
+    /// or, for a backend without certificates, under none.
+    Split(Option<CellCert>),
+}
+
+/// One worker's scratch: the pieces its regions resolved and its
+/// counters. The serial levels use one too.
 #[derive(Default)]
 struct Refiner {
     pieces: Vec<Piece>,
-    /// Unresolved row ranges (their `label` is a placeholder).
-    pending: Vec<Piece>,
+    /// `tails[row]` indexes the row's latest piece (`usize::MAX` while
+    /// it has none); sized to the raster's height on first use.
+    tails: Vec<usize>,
     stats: HierarchicalStats,
 }
 
 impl Refiner {
+    /// Appends `piece`, extending its row's latest piece instead when it
+    /// continues that one with the same label: a region answered pixel
+    /// by pixel adds pieces per label run, not per pixel.
+    fn push(&mut self, height: usize, piece: Piece) {
+        if self.tails.is_empty() {
+            self.tails = vec![usize::MAX; height];
+        }
+        let tail = &mut self.tails[piece.row as usize];
+        match self.pieces.get_mut(*tail) {
+            Some(last) if last.c1 == piece.c0 && last.label == piece.label => last.c1 = piece.c1,
+            _ => {
+                *tail = self.pieces.len();
+                self.pieces.push(piece);
+            }
+        }
+    }
+
     /// Refines `region` under a (contained) parent certificate, down to
     /// pixel resolution.
     fn refine<E: QueryEngine + ?Sized>(
@@ -335,15 +331,15 @@ impl Refiner {
         region: Region,
         parent: Option<&CellCert>,
     ) {
-        if let Some(cert) = self.certify(grid, region, parent) {
+        if let Outcome::Split(cert) = self.certify(grid, region, parent) {
             for child in region.children() {
-                self.refine(grid, child, Some(&cert));
+                self.refine(grid, child, cert.as_ref());
             }
         }
     }
 
     /// The first [`SERIAL_LEVELS`] levels of [`Refiner::refine`]: the
-    /// children of a `Mixed` cell on the last of them are pushed onto
+    /// children of a split cell on the last of them are pushed onto
     /// `subtrees` instead of being refined.
     fn split<E: QueryEngine + ?Sized>(
         &mut self,
@@ -353,40 +349,36 @@ impl Refiner {
         level: usize,
         subtrees: &mut Vec<Subtree>,
     ) {
-        let Some(cert) = self.certify(grid, region, parent) else {
+        let Outcome::Split(cert) = self.certify(grid, region, parent) else {
             return;
         };
         if level + 1 >= SERIAL_LEVELS {
-            let cert = Arc::new(cert);
+            let cert = cert.map(Arc::new);
             subtrees.extend(region.children().map(|region| Subtree {
                 region,
-                parent: Arc::clone(&cert),
+                parent: cert.clone(),
             }));
         } else {
             for child in region.children() {
-                self.split(grid, child, Some(&cert), level + 1, subtrees);
+                self.split(grid, child, cert.as_ref(), level + 1, subtrees);
             }
         }
     }
 
     /// Resolves whatever `region`'s own certificate settles: a uniform
-    /// decision fills the region, a region too small (or a backend
-    /// without certificates) goes per pixel. Returns the certificate
-    /// when it is `Mixed` and the region must be subdivided; children
-    /// re-envelope only its surviving candidates.
+    /// decision fills the region, and a region too small to certify is
+    /// answered per pixel. Otherwise the region splits; children
+    /// re-envelope only the surviving candidates of its certificate.
     fn certify<E: QueryEngine + ?Sized>(
         &mut self,
         grid: &Grid<E>,
         region: Region,
         parent: Option<&CellCert>,
-    ) -> Option<CellCert> {
+    ) -> Outcome {
         let count = region.pixels();
-        if count == 0 {
-            return None;
-        }
         if count < MIN_CERT_PIXELS {
-            self.defer(grid, region, parent);
-            return None;
+            self.answer(grid, region, parent);
+            return Outcome::Filled;
         }
         // The certified box spans the pixel *centres* of the region —
         // the only points the raster ever samples. (For 1-wide strips
@@ -394,73 +386,51 @@ impl Refiner {
         let lo = grid.center(region.c0, region.r0);
         let hi = grid.center(region.c1 - 1, region.r1 - 1);
         let Some(cert) = grid.engine.sinr_bounds_cell(lo, hi, parent) else {
-            // Certificate-less backend: every pixel goes to the
-            // boundary pass, dense-equivalent.
-            self.defer(grid, region, None);
-            return None;
+            return Outcome::Split(None);
         };
         self.stats.certificates += 1;
         let label = match cert.decision() {
             CellDecision::Reception(i) => PixelLabel::Heard(i),
             CellDecision::Silent => PixelLabel::Silent,
-            CellDecision::Mixed => return Some(cert),
+            CellDecision::Mixed => return Outcome::Split(Some(cert)),
         };
-        self.pieces
-            .extend((region.r0..region.r1).map(|row| Piece::new(row, region.c0, region.c1, label)));
+        for row in region.r0..region.r1 {
+            self.push(grid.height, Piece::new(row, region.c0, region.c1, label));
+        }
         self.stats.certified_pixels += count as u64;
-        None
+        Outcome::Filled
     }
 
-    /// Resolves a sub-certificate-sized region per pixel against its
-    /// containing cell's certificate (candidate-only certified
-    /// decisions — every `Some` bit-identical to `locate_batch`),
-    /// leaving whatever the margins cannot pin pending for the boundary
-    /// pass. The per-pixel attempt matters: boundary pixels are
-    /// spatially scattered, so the boundary pass's Morton tiles span
-    /// wide boxes and prune poorly, while the certificate in hand
-    /// already names the few competitive stations.
-    fn defer<E: QueryEngine + ?Sized>(
+    /// Answers a sub-certificate-sized region pixel by pixel: against
+    /// the enclosing cell's certificate first (candidate-only certified
+    /// decisions, `O(candidates)` each), and every pixel that the
+    /// margins cannot pin, or that has no certificate, by the backend's
+    /// own `locate`.
+    fn answer<E: QueryEngine + ?Sized>(
         &mut self,
         grid: &Grid<E>,
         region: Region,
         parent: Option<&CellCert>,
     ) {
         let Region { c0, c1, r0, r1 } = region;
-        if let Some(cert) = parent {
-            if region.pixels() < MIN_CERT_PIXELS {
-                let mut pts = [Point::ORIGIN; MIN_CERT_PIXELS - 1];
-                let mut located = [None; MIN_CERT_PIXELS - 1];
-                let mut k = 0usize;
-                for row in r0..r1 {
-                    for col in c0..c1 {
-                        pts[k] = grid.center(col, row);
-                        k += 1;
-                    }
-                }
-                if grid
-                    .engine
-                    .locate_in_cell(cert, &pts[..k], &mut located[..k])
-                {
-                    let mut i = 0usize;
-                    for row in r0..r1 {
-                        for col in c0..c1 {
-                            match located[i] {
-                                Some(loc) => {
-                                    self.stats.cells_evaluated += 1;
-                                    self.stats.point_certified += 1;
-                                    push_pixel(&mut self.pieces, col, row, label_of(loc));
-                                }
-                                None => push_pixel(&mut self.pending, col, row, PixelLabel::Silent),
-                            }
-                            i += 1;
-                        }
-                    }
-                    return;
-                }
-            }
+        let pixels = || (r0..r1).flat_map(move |row| (c0..c1).map(move |col| (col, row)));
+        let mut pts = [Point::ORIGIN; MIN_CERT_PIXELS - 1];
+        let mut located = [None; MIN_CERT_PIXELS - 1];
+        let k = region.pixels();
+        for (pt, (col, row)) in pts.iter_mut().zip(pixels()) {
+            *pt = grid.center(col, row);
         }
-        self.pending
-            .extend((r0..r1).map(|row| Piece::new(row, c0, c1, PixelLabel::Silent)));
+        if let Some(cert) = parent {
+            // A backend that declines the path leaves every slot `None`.
+            grid.engine
+                .locate_in_cell(cert, &pts[..k], &mut located[..k]);
+        }
+        for (((col, row), &p), certified) in pixels().zip(&pts).zip(located) {
+            self.stats.cells_evaluated += 1;
+            self.stats.point_certified += u64::from(certified.is_some());
+            let loc = certified.unwrap_or_else(|| grid.engine.locate(p));
+            self.push(grid.height, Piece::new(row, col, col + 1, label_of(loc)));
+        }
     }
 }
 
@@ -470,37 +440,6 @@ fn label_of(loc: Located) -> PixelLabel {
     match loc {
         Located::Reception(i) => PixelLabel::Heard(i),
         Located::Uncertain(_) | Located::Silent => PixelLabel::Silent,
-    }
-}
-
-/// The boundary pass: locates every pending pixel through the backend's
-/// own `locate_batch`, [`BOUNDARY_CHUNK`] pixels per call, and returns
-/// the answers as pieces.
-fn locate_pending<E: QueryEngine + ?Sized>(grid: &Grid<E>, pending: &[Vec<Piece>]) -> Vec<Piece> {
-    let mut pixels = pending
-        .iter()
-        .flatten()
-        .flat_map(|p| (p.c0..p.c1).map(move |col| (col as usize, p.row as usize)));
-    // Each pending range yields at least one piece.
-    let mut pieces = Vec::with_capacity(pending.iter().map(Vec::len).sum());
-    let mut centers = Vec::new();
-    let mut located = Vec::new();
-    loop {
-        centers.clear();
-        centers.extend(
-            pixels
-                .clone()
-                .take(BOUNDARY_CHUNK)
-                .map(|(col, row)| grid.center(col, row)),
-        );
-        if centers.is_empty() {
-            return pieces;
-        }
-        located.resize(centers.len(), Located::Silent);
-        grid.engine.locate_batch(&centers, &mut located);
-        for ((col, row), &loc) in pixels.by_ref().take(located.len()).zip(&located) {
-            push_pixel(&mut pieces, col, row, label_of(loc));
-        }
     }
 }
 
@@ -617,25 +556,15 @@ pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
     top.split(&grid, whole, None, 0, &mut subtrees);
     let workers = steal_tiles::<Refiner, _>(subtrees.len(), |t, refiner| {
         let subtree = &subtrees[t];
-        refiner.refine(&grid, subtree.region, Some(&subtree.parent));
+        refiner.refine(&grid, subtree.region, subtree.parent.as_deref());
     });
     let mut stats = top.stats;
+    stats.pixels = (width * height) as u64;
     let mut lists = vec![top.pieces];
-    let mut pending = vec![top.pending];
     for worker in workers {
         stats.absorb(&worker.stats);
         lists.push(worker.pieces);
-        pending.push(worker.pending);
     }
-    let pending_pixels: usize = pending
-        .iter()
-        .flatten()
-        .map(|p| (p.c1 - p.c0) as usize)
-        .sum();
-    stats.pixels = (width * height) as u64;
-    stats.cells_evaluated += pending_pixels as u64;
-    lists.push(locate_pending(&grid, &pending));
-    drop(pending);
     let runs = merge_pieces(height, lists);
     let map = ReceptionRuns {
         window,
@@ -704,6 +633,49 @@ mod tests {
             "refinement should certify most pixels, evaluated fraction {}",
             stats.fraction()
         );
+        // Leaves answer from the certificate where it pins the pixel and
+        // fall back to `locate` where it does not: both paths ran.
+        assert!(
+            0 < stats.point_certified && stats.point_certified < stats.cells_evaluated,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn per_pixel_leaves_extend_row_pieces() {
+        // The Theorem-3 locator has no certificates, so every pixel is
+        // answered in a 2×2 leaf; over a window of one label each row
+        // must still end as one piece, not one per leaf.
+        let net =
+            Network::uniform(vec![Point::new(-2.0, 0.0), Point::new(2.0, 0.0)], 0.05, 1.5).unwrap();
+        let qds =
+            sinr_pointloc::PointLocator::build(&net, &sinr_pointloc::QdsConfig::with_epsilon(0.25))
+                .unwrap();
+        let (width, height) = (64, 48);
+        let grid = Grid {
+            engine: &qds,
+            window: BBox::new(Point::new(100.0, 100.0), Point::new(110.0, 110.0)),
+            width,
+            height,
+        };
+        let mut refiner = Refiner::default();
+        refiner.refine(
+            &grid,
+            Region {
+                c0: 0,
+                c1: width,
+                r0: 0,
+                r1: height,
+            },
+            None,
+        );
+        assert_eq!(refiner.stats.cells_evaluated, (width * height) as u64);
+        assert_eq!(refiner.stats.certificates, 0);
+        assert_eq!(refiner.pieces.len(), height);
+        assert!(refiner
+            .pieces
+            .iter()
+            .all(|p| p.c1 - p.c0 == width as u32 && unpack(p.label) == PixelLabel::Silent));
     }
 
     #[test]

@@ -459,12 +459,13 @@ fn runs_are_maximal_and_expand_to_dense_on_every_backend() {
     }
 }
 
-/// The boundary pass locates pending pixels in chunks of 32 Ki points
-/// per `locate_batch`. The Theorem-3 locator certifies nothing, so every
-/// pixel is pending: a grid of several chunks takes more than one batch,
-/// and the runs must still be maximal and expand to the dense raster.
+/// The Theorem-3 locator certifies nothing, so refinement splits every
+/// cell without a certificate and every pixel is answered by `locate`
+/// in a quadtree leaf. Over a grid of more than `2 * CHUNK` (64 Ki)
+/// pixels — every subtree, tens of thousands of leaves — the runs must
+/// still be maximal and expand to the dense raster.
 #[test]
-fn qds_runs_span_several_boundary_chunks() {
+fn qds_runs_stay_maximal_across_per_pixel_leaves() {
     const CHUNK: usize = 32 * 1024;
     let net = gen::random_uniform_network(21, 6, 6.0, 0.01, 1.5).unwrap();
     let qds = locator(&net).expect("the locator leg must run");

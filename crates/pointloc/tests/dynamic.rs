@@ -6,24 +6,10 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sinr_core::engine::{QueryEngine, SyncError};
+use sinr_core::gen::min_separation;
 use sinr_core::{Network, StationId};
 use sinr_geometry::Point;
 use sinr_pointloc::{Located, PointLocator, QdsConfig};
-
-/// Separated stations (non-degenerate zones, bounded QDS builds).
-fn separated_points(seed: u64, n: usize) -> Vec<Point> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut pts: Vec<Point> = Vec::with_capacity(n);
-    let mut guard = 0;
-    while pts.len() < n && guard < 10_000 {
-        guard += 1;
-        let cand = Point::new(rng.gen_range(-4.0..=4.0), rng.gen_range(-4.0..=4.0));
-        if pts.iter().all(|p| p.dist(cand) >= 1.3) {
-            pts.push(cand);
-        }
-    }
-    pts
-}
 
 fn sample_points(net: &Network) -> Vec<Point> {
     let mut pts = Vec::new();
@@ -49,7 +35,7 @@ proptest! {
     fn apply_with_lazy_rebuild_equals_fresh_build(
         (seed, n) in (any::<u64>(), 3usize..5),
     ) {
-        let pts = separated_points(seed, n);
+        let pts = min_separation(&mut rand::rngs::StdRng::seed_from_u64(seed), n, 4.0, 1.3);
         let mut net = Network::uniform(pts, 0.01, 2.0).expect("valid network");
         let config = QdsConfig::with_epsilon(0.3);
         let mut ds = match PointLocator::build(&net, &config) {

@@ -418,11 +418,14 @@ fn locate_on(engine: &BoxedEngine, points: &[Point]) -> Response {
 /// Serves a `HeatmapBatch`: rasterises the engine's SINR diagram over
 /// the window by hierarchical (interval-certified quadtree) refinement,
 /// whose subtrees refine in parallel — bit-identical to a dense
-/// per-pixel sweep, but paying per-point evaluation only near the zone
-/// boundaries. Refinement yields maximal row-major label runs, and the
-/// response carries them as they are ([`Response::HeatmapRuns`]), so
-/// the handler never holds a dense raster: its memory grows with the
-/// run count, not with the pixel count.
+/// per-pixel sweep. Only pixels in the quadtree leaves near the zone
+/// boundaries pay a per-point answer, given there from the enclosing
+/// certificate or the engine's `locate`; a backend without
+/// certificates (QDS) answers every pixel that way. Refinement yields
+/// maximal row-major label runs, and the response carries them as they
+/// are ([`Response::HeatmapRuns`]), so the handler never holds a dense
+/// raster: its memory grows with the run count, not with the pixel
+/// count.
 fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: u32) -> Response {
     if width == 0
         || height == 0

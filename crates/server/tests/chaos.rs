@@ -12,9 +12,11 @@
 //! seed printed in the failure message, so any failure replays.
 
 use rand::{Rng, SeedableRng};
-use sinr_core::engine::{BoxedEngine, QueryEngine};
+use sinr_core::engine::QueryEngine;
+use sinr_core::gen::min_separation;
 use sinr_core::{ExactScan, Located, Network, StationId, SurgeryOp};
 use sinr_geometry::Point;
+use sinr_server::registry::build_backend;
 use sinr_server::server::ServerConfig;
 use sinr_server::{
     BackendId, ChaosConfig, ChaosStream, Client, ClientError, ErrorCode, IoTransport,
@@ -36,23 +38,10 @@ fn transportish(e: &ClientError) -> bool {
     )
 }
 
-fn separated_points(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Point> {
-    let mut pts: Vec<Point> = Vec::with_capacity(n);
-    let mut guard = 0;
-    while pts.len() < n && guard < 10_000 {
-        guard += 1;
-        let cand = Point::new(rng.gen_range(-5.0..=5.0), rng.gen_range(-5.0..=5.0));
-        if pts.iter().all(|p| p.dist(cand) >= 0.8) {
-            pts.push(cand);
-        }
-    }
-    pts
-}
-
 fn random_network(seed: u64) -> Network {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let n = rng.gen_range(4..8);
-    let pts = separated_points(&mut rng, n);
+    let pts = min_separation(&mut rng, n, 5.0, 0.8);
     let mut b = Network::builder()
         .background_noise(0.02)
         .threshold(if rng.gen_range(0..2) == 0 { 0.7 } else { 1.8 });
@@ -93,15 +82,6 @@ fn random_timestep(rng: &mut rand::rngs::StdRng, mirror: &mut Network) -> Vec<Su
         ops.push(op);
     }
     ops
-}
-
-fn fresh_local(backend: BackendId, mirror: &Network) -> BoxedEngine {
-    match backend {
-        BackendId::ExactScan => BoxedEngine::exact_scan(mirror),
-        BackendId::SimdScan => BoxedEngine::simd_scan(mirror),
-        BackendId::VoronoiAssisted => BoxedEngine::voronoi_assisted(mirror),
-        BackendId::Qds => unreachable!("qds is not in the chaos rotation"),
-    }
 }
 
 fn backend_for(seed: u64) -> BackendId {
@@ -183,7 +163,8 @@ fn chaotic_session(addr: SocketAddr, seed: u64) -> usize {
                 match client.locate_batch(&points) {
                     Ok((rev, answers)) => {
                         assert_eq!(rev, mirror.revision(), "locate revision, seed {seed}");
-                        let local = fresh_local(backend, &mirror);
+                        let local = build_backend(backend, 0.0, &mirror)
+                            .expect("exact backends always build");
                         let mut expected = vec![Located::Silent; points.len()];
                         local.locate_batch(&points, &mut expected);
                         assert_eq!(answers, expected, "locate diff, seed {seed}, round {round}");
@@ -517,7 +498,8 @@ fn resilient_client_survives_forced_disconnects_attached() {
             .locate_batch(&points)
             .unwrap_or_else(|e| panic!("round {round} locate after eviction: {e}"));
         assert_eq!(rev, mirror.revision(), "round {round} revision");
-        let local = fresh_local(BackendId::ExactScan, &mirror);
+        let local =
+            build_backend(BackendId::ExactScan, 0.0, &mirror).expect("exact backends always build");
         let mut expected = vec![Located::Silent; points.len()];
         local.locate_batch(&points, &mut expected);
         assert_eq!(answers, expected, "round {round} locate diff");
@@ -542,7 +524,8 @@ fn resilient_client_survives_forced_disconnects_attached() {
         mirror.revision(),
         "final revision — a duplicated mutation would differ"
     );
-    let local = fresh_local(BackendId::ExactScan, &mirror);
+    let local =
+        build_backend(BackendId::ExactScan, 0.0, &mirror).expect("exact backends always build");
     let mut expected = vec![Located::Silent; final_points.len()];
     local.locate_batch(&final_points, &mut expected);
     assert_eq!(
@@ -583,7 +566,8 @@ fn resilient_client_rebinds_private_networks() {
         let (_, answers) = client
             .locate_batch(&points)
             .unwrap_or_else(|e| panic!("round {round} locate: {e}"));
-        let local = fresh_local(BackendId::SimdScan, &mirror);
+        let local =
+            build_backend(BackendId::SimdScan, 0.0, &mirror).expect("exact backends always build");
         let mut expected = vec![Located::Silent; points.len()];
         local.locate_batch(&points, &mut expected);
         assert_eq!(answers, expected, "round {round} private-network diff");

@@ -15,9 +15,11 @@
 //! leakage), never rounding.
 
 use rand::{Rng, SeedableRng};
-use sinr_core::engine::{BoxedEngine, QueryEngine, PARALLEL_BATCH_THRESHOLD};
+use sinr_core::engine::{QueryEngine, PARALLEL_BATCH_THRESHOLD};
+use sinr_core::gen::min_separation;
 use sinr_core::{ChannelModel, ExactScan, Located, McConfig, Network, StationId, SurgeryOp};
 use sinr_geometry::Point;
+use sinr_server::registry::build_backend;
 use sinr_server::{BackendId, Client, ClientError, ErrorCode, Server, TcpTransport};
 
 /// A random stochastic channel valid for `n` stations — every shape the
@@ -41,25 +43,10 @@ fn random_channel(rng: &mut rand::rngs::StdRng, n: usize) -> ChannelModel {
     }
 }
 
-/// Well-separated random stations (same discipline as the core dynamic
-/// suite: non-degenerate zones, honest numerics).
-fn separated_points(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Point> {
-    let mut pts: Vec<Point> = Vec::with_capacity(n);
-    let mut guard = 0;
-    while pts.len() < n && guard < 10_000 {
-        guard += 1;
-        let cand = Point::new(rng.gen_range(-5.0..=5.0), rng.gen_range(-5.0..=5.0));
-        if pts.iter().all(|p| p.dist(cand) >= 0.8) {
-            pts.push(cand);
-        }
-    }
-    pts
-}
-
 fn random_network(seed: u64, uniform: bool) -> Network {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let n = rng.gen_range(4..8);
-    let pts = separated_points(&mut rng, n);
+    let pts = min_separation(&mut rng, n, 5.0, 0.8);
     let mut b = Network::builder()
         .background_noise(0.02)
         .threshold(if rng.gen_range(0..2) == 0 { 0.7 } else { 1.8 });
@@ -119,17 +106,6 @@ fn random_queries(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Point> {
     (0..n)
         .map(|_| Point::new(rng.gen_range(-8.0..8.0), rng.gen_range(-8.0..8.0)))
         .collect()
-}
-
-/// Builds the same backend the server session is running, from the
-/// client-side mirror — the "fresh local engine at the same revision".
-fn fresh_local(backend: BackendId, mirror: &Network) -> BoxedEngine {
-    match backend {
-        BackendId::ExactScan => BoxedEngine::exact_scan(mirror),
-        BackendId::SimdScan => BoxedEngine::simd_scan(mirror),
-        BackendId::VoronoiAssisted => BoxedEngine::voronoi_assisted(mirror),
-        BackendId::Qds => unreachable!("qds has its own consistency test"),
-    }
 }
 
 /// One client's whole randomized session, all assertions inside.
@@ -192,7 +168,8 @@ fn drive_session(
                     .reception_prob_batch(trials, mc_seed, &channel, &points)
                     .unwrap_or_else(|e| panic!("reception_prob_batch round {round}: {e}"));
                 assert_eq!(rev, mirror.revision());
-                let local = fresh_local(backend, &mirror);
+                let local =
+                    build_backend(backend, 0.0, &mirror).expect("exact backends always build");
                 let mut expected = vec![0.0; points.len()];
                 local
                     .reception_probability_batch(
@@ -225,7 +202,8 @@ fn drive_session(
                     mirror.revision(),
                     "answers fenced at the mirror revision"
                 );
-                let local = fresh_local(backend, &mirror);
+                let local =
+                    build_backend(backend, 0.0, &mirror).expect("exact backends always build");
                 let mut expected = vec![Located::Silent; points.len()];
                 local.locate_batch(&points, &mut expected);
                 assert_eq!(
@@ -432,7 +410,8 @@ fn foreign_revision_mutate_is_rejected_without_effect() {
     let points = random_queries(&mut rng, 300);
     let (rev, answers) = client.locate_batch(&points).expect("still serving");
     assert_eq!(rev, revision);
-    let local = fresh_local(BackendId::VoronoiAssisted, &mirror);
+    let local = build_backend(BackendId::VoronoiAssisted, 0.0, &mirror)
+        .expect("exact backends always build");
     let mut expected = vec![Located::Silent; points.len()];
     local.locate_batch(&points, &mut expected);
     assert_eq!(answers, expected);
@@ -523,7 +502,8 @@ fn hostile_client_does_not_poison_neighbour_sessions() {
         let points = random_queries(&mut rng, 100);
         let (rev, answers) = good.locate_batch(&points).expect("good session lives");
         assert_eq!(rev, revision);
-        let local = fresh_local(BackendId::SimdScan, &mirror);
+        let local =
+            build_backend(BackendId::SimdScan, 0.0, &mirror).expect("exact backends always build");
         let mut expected = vec![Located::Silent; points.len()];
         local.locate_batch(&points, &mut expected);
         assert_eq!(answers, expected, "round {round}");
@@ -594,7 +574,7 @@ fn pipelined_locate_stream_matches_request_response() {
         assert_eq!(got, reference, "{backend}: pipe pipelined diverged");
 
         // The reference itself against a fresh local engine.
-        let local = fresh_local(backend, &net);
+        let local = build_backend(backend, 0.0, &net).expect("exact backends always build");
         for ((rev, answers), burst) in reference.iter().zip(&bursts) {
             assert_eq!(*rev, net.revision());
             let mut expected = vec![Located::Silent; burst.len()];
@@ -640,7 +620,8 @@ fn default_pool_serves_more_heavy_clients_than_workers() {
                         .attach("heavy", BackendId::SimdScan, 0.0)
                         .expect("attach");
                 }
-                let local = fresh_local(BackendId::SimdScan, net);
+                let local = build_backend(BackendId::SimdScan, 0.0, net)
+                    .expect("exact backends always build");
                 let mut rng = rand::rngs::StdRng::seed_from_u64(0x4EA7 ^ k as u64);
                 for frame in 0..4 {
                     let points: Vec<Point> = (0..PARALLEL_BATCH_THRESHOLD + 500)
@@ -813,7 +794,8 @@ fn seeded_reception_probs_pinned_across_server_and_mutation() {
         .expect("server answers");
     assert_eq!(rev, mirror.revision());
 
-    let local = fresh_local(BackendId::SimdScan, &mirror);
+    let local =
+        build_backend(BackendId::SimdScan, 0.0, &mirror).expect("exact backends always build");
     let mut expected = vec![0.0; points.len()];
     local
         .reception_probability_batch(&channel, McConfig::new(48, 0x5EED), &points, &mut expected)

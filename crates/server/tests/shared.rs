@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use sinr_core::engine::{BoxedEngine, QueryEngine};
 use sinr_core::{ChannelModel, Located, McConfig, Network, StationId, SurgeryOp};
 use sinr_geometry::Point;
+use sinr_server::registry::build_backend;
 use sinr_server::{BackendId, Client, ClientError, ErrorCode, Server, TcpTransport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,15 +35,6 @@ fn random_queries(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Point> {
         .collect()
 }
 
-fn fresh_local(backend: BackendId, mirror: &Network) -> BoxedEngine {
-    match backend {
-        BackendId::ExactScan => BoxedEngine::exact_scan(mirror),
-        BackendId::SimdScan => BoxedEngine::simd_scan(mirror),
-        BackendId::VoronoiAssisted => BoxedEngine::voronoi_assisted(mirror),
-        BackendId::Qds => unreachable!("qds has its own poisoning test"),
-    }
-}
-
 fn assert_locate_matches(
     client: &mut Client<TcpTransport>,
     backend: BackendId,
@@ -54,7 +46,7 @@ fn assert_locate_matches(
         .locate_batch(points)
         .unwrap_or_else(|e| panic!("{what}: locate failed: {e}"));
     assert_eq!(rev, mirror.revision(), "{what}: revision fence");
-    let local = fresh_local(backend, mirror);
+    let local = build_backend(backend, 0.0, mirror).expect("exact backends always build");
     let mut expected = vec![Located::Silent; points.len()];
     local.locate_batch(points, &mut expected);
     assert_eq!(answers, expected, "{what}: locate diff");
@@ -115,7 +107,8 @@ fn attached_sessions_differential_with_mutation() {
             .sinr_batch(station, &points)
             .expect("sinr_batch");
         assert_eq!(rev, mirror.revision());
-        let local = fresh_local(BackendId::ExactScan, &mirror);
+        let local =
+            build_backend(BackendId::ExactScan, 0.0, &mirror).expect("exact backends always build");
         let mut expected = vec![0.0; points.len()];
         local.sinr_batch(station, &points, &mut expected);
         for (k, (got, want)) in sinrs.iter().zip(&expected).enumerate() {
@@ -368,7 +361,8 @@ fn pooled_answers_match_local_engines() {
         .collect();
     let channel = ChannelModel::LogNormalShadowing { sigma_db: 3.0 };
     let quantiles = [0.1, 0.5, 0.9];
-    let local = fresh_local(BackendId::SimdScan, &mirror);
+    let local =
+        build_backend(BackendId::SimdScan, 0.0, &mirror).expect("exact backends always build");
     let mut want_sinrs = vec![0.0; points.len()];
     local.sinr_batch(StationId(0), &points, &mut want_sinrs);
     let mut want_quants = vec![0.0; points.len() * quantiles.len()];
@@ -617,7 +611,9 @@ fn own_poisoning_mutate_unbinds_an_attached_session() {
     let (rev, answers) = exact.locate_batch(&points).expect("exact still attached");
     assert_eq!(rev, mirror.revision());
     let mut expected = vec![Located::Silent; points.len()];
-    fresh_local(BackendId::ExactScan, &mirror).locate_batch(&points, &mut expected);
+    build_backend(BackendId::ExactScan, 0.0, &mirror)
+        .expect("exact backends always build")
+        .locate_batch(&points, &mut expected);
     assert_eq!(answers, expected);
 
     drop(exact);
@@ -779,7 +775,7 @@ fn heatmap_batch_differential_and_guards() {
         );
         // The server contract: identical to locating every pixel centre
         // on the same backend (dense raster, bottom-first row-major).
-        let local = fresh_local(backend, &net);
+        let local = build_backend(backend, 0.0, &net).expect("exact backends always build");
         let dense = sinr_diagram::ReceptionMap::compute_with_engine(
             &local,
             sinr_geometry::BBox::new(min, max),
@@ -859,7 +855,8 @@ fn heatmap_batch_differential_and_guards() {
         // Pixel-for-pixel against the same hierarchical raster computed
         // locally (itself pinned bit-identical to the dense sweep by the
         // diagram suites).
-        let local = fresh_local(BackendId::VoronoiAssisted, &net);
+        let local = build_backend(BackendId::VoronoiAssisted, 0.0, &net)
+            .expect("exact backends always build");
         let (map, _) = sinr_diagram::ReceptionMap::compute_hierarchical_with_engine(
             &local,
             sinr_geometry::BBox::new(min, max),
