@@ -12,7 +12,7 @@
 //! lines as the `engine-batch-json` artifact).
 //!
 //! The **tiled** scenario (PR 5) compares the spatially-coherent tiled
-//! executor — what `locate_batch` runs for ≥ 2048 points × ≥ 128
+//! executor — what `locate_batch` runs for ≥ 512 points × ≥ 128
 //! stations — against the per-point path (the same serial kernels
 //! driven through `batch_map`), per backend, answers asserted
 //! identical; its `"scenario":"tiled"` lines carry the executor's
@@ -24,8 +24,18 @@
 //! (power-diagram) kd-tree walk, not nearest-station — against
 //! `ExactScan` on the same network (the engine non-uniform queries
 //! fell back to before weighted dispatch), answers asserted
-//! bit-identical to a same-kernel `SimdScan`; its
-//! `"scenario":"nonuniform"` line must clear a 2× speedup floor.
+//! bit-identical to a same-kernel `SimdScan`. Its
+//! `"scenario":"nonuniform"` line records both backends' `locate_batch`
+//! and their per-point paths, and the per-point ratio — where every
+//! query runs the dispatch — must clear a 2× speedup floor.
+//!
+//! The **hotspot** scenario times `VoronoiAssisted::locate_batch` on
+//! the clustered-power network over batches of 256-point hotspot
+//! patches (the serving benchmark's `LocateBatch` shape), 1024 and 8192
+//! points per batch, against the per-point loop; its
+//! `"scenario":"hotspot"` lines carry the tiled executor's `tiles` and
+//! `pruned_tiles` counters, which show whether distant patches got
+//! tiles of their own.
 //!
 //! The **churn** scenario measures the epoch-versioned dynamic path: a
 //! timestep mixes in-place surgery (moves + an add + a swap-remove) with
@@ -42,7 +52,7 @@
 //! columns, Morton tiling and unit-power tile envelopes are built once
 //! with only per-trial gains varying — against the rebuild-per-trial
 //! baseline (draw the same gain stream, build a scaled `Network` and a
-//! fresh engine every trial, run its one-shot `locate_batch`).
+//! fresh engine every trial, answer the batch point by point).
 //! Probabilities are asserted bit-identical; the `"scenario":
 //! "channel_mc"` lines record trials/sec, ns per point-trial on both
 //! paths and their ratio, which must stay ≥ 5×.
@@ -444,8 +454,8 @@ fn emit_churn_json_lines() {
 /// `reception_probability_batch` exists for), many trials. Each patch
 /// is one Morton tile, so the tile envelopes built once up front prune
 /// almost the whole network on every trial; the rebuild-per-trial
-/// baseline re-pays prep each trial and, at this one-shot batch size,
-/// its own `locate_batch` heuristic stays on the full-scan path.
+/// baseline re-pays the network and engine build each trial and runs
+/// every point through the full per-point kernel.
 const MC_STATIONS: usize = 4096;
 const MC_POINTS: usize = 1024;
 const MC_PATCHES: usize = 2;
@@ -456,7 +466,13 @@ const MC_SEED: u64 = 0x5EED_CAFE;
 /// The rebuild-per-trial baseline: what Monte-Carlo reception
 /// probability costs *without* the channel subsystem — draw the same
 /// public gain stream, build a scaled [`Network`] and a fresh engine
-/// for every trial, run its `locate_batch`, and count receptions.
+/// for every trial, locate every point with it, and count receptions.
+/// The points go through the per-point loop (`batch_map` of `locate`,
+/// which stays on the calling thread at this batch length), not
+/// `locate_batch`: the batch executor prunes with the same tile
+/// envelopes the channel subsystem keeps across trials, so a baseline
+/// that used it would count part of the subsystem on both sides. The
+/// answers are the same either way.
 fn naive_reception_probs(
     net: &Network,
     channel: &ChannelModel,
@@ -478,7 +494,7 @@ fn naive_reception_probs(
         }
         let scaled = b.build().expect("scaled network");
         let engine = build(&scaled);
-        engine.locate_batch(black_box(points), &mut out);
+        batch_map(black_box(points), &mut out, |p| engine.locate(*p));
         for (c, l) in counts.iter_mut().zip(&out) {
             *c += u32::from(l.station().is_some());
         }
@@ -686,23 +702,23 @@ const NONUNIFORM_MACRO_EVERY: usize = 64;
 const NONUNIFORM_MACRO_POWER: f64 = 8.0;
 /// Timing repetitions per path; the recorded value is the minimum.
 const NONUNIFORM_REPS: usize = 3;
-/// Internal floor: the weighted-dispatch batch path must beat the
-/// exact-scan engine — the path every non-uniform `VoronoiAssisted`
+/// Internal floor: the weighted-dispatch per-point path must beat the
+/// exact-scan engine's — the path every non-uniform `VoronoiAssisted`
 /// query fell back to before the power-diagram dispatch landed — by at
 /// least this factor, so the trend line certifies the dispatch engages
-/// rather than merely existing.
+/// rather than merely existing. The floor reads the per-point paths:
+/// under `locate_batch` both backends share the tiled executor's
+/// pruning and certification, and the dispatch runs only for the
+/// points that fall back, so the batch ratio measures mostly the scan
+/// kernels.
 const NONUNIFORM_MIN_SPEEDUP: f64 = 2.0;
 
-/// The non-uniform record: `VoronoiAssisted::locate_batch` on a
-/// clustered-power network (weighted kd-tree dispatch + `MaxEnergy`
-/// tile envelopes) against `ExactScan::locate_batch` on the same
-/// network (what non-uniform queries cost pre-dispatch), answers
-/// asserted bit-identical to a same-kernel `SimdScan`. One
-/// `"scenario":"nonuniform"` line.
-fn emit_nonuniform_json_lines() {
+/// The clustered-power network of the non-uniform and hotspot
+/// scenarios, and the generator that drew its powers (the non-uniform
+/// scenario draws its queries from it next).
+fn clustered_network() -> (Network, rand::rngs::StdRng) {
     let n = NONUNIFORM_STATIONS;
-    let half = window_half(n);
-    let layout = gen::random_uniform_network(42 + n as u64, n, half, 0.01, 2.0).unwrap();
+    let layout = gen::random_uniform_network(42 + n as u64, n, window_half(n), 0.01, 2.0).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1FF ^ n as u64);
     let mut b = Network::builder()
         .background_noise(0.01)
@@ -718,6 +734,116 @@ fn emit_nonuniform_json_lines() {
     }
     let net = b.build().expect("clustered-power network");
     assert!(!net.is_uniform_power(), "scenario needs non-uniform power");
+    (net, rng)
+}
+
+/// Hotspot scenario shape: batches of `HOTSPOT_PATCH`-point patches
+/// (uniform in a disc of radius `HOTSPOT_RADIUS` around a uniform
+/// centre) on the clustered-power network — the shape of the serving
+/// benchmark's `LocateBatch` frames — at one batch length below and one
+/// above `PARALLEL_BATCH_THRESHOLD`, `HOTSPOT_PASS_POINTS` points per
+/// timed pass.
+const HOTSPOT_PATCH: usize = 256;
+const HOTSPOT_RADIUS: f64 = 1.0;
+const HOTSPOT_BATCHES: [usize; 2] = [1024, 8192];
+const HOTSPOT_PASS_POINTS: usize = 65_536;
+
+/// The hotspot record: `VoronoiAssisted::locate_batch` on batches of
+/// far-apart hotspot patches against the per-point loop (the serial
+/// kernel through `batch_map`), answers asserted identical, with the
+/// tiled executor's counters over the pass. One `"scenario":"hotspot"`
+/// line per batch length.
+fn emit_hotspot_json_lines() {
+    let (net, _) = clustered_network();
+    let half = window_half(net.len());
+    let voronoi = VoronoiAssisted::new(&net);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4075);
+    for batch in HOTSPOT_BATCHES {
+        let batches: Vec<Vec<Point>> = (0..HOTSPOT_PASS_POINTS / batch)
+            .map(|_| {
+                let mut points = Vec::with_capacity(batch);
+                for _ in 0..batch / HOTSPOT_PATCH {
+                    let c = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+                    for _ in 0..HOTSPOT_PATCH {
+                        let d = HOTSPOT_RADIUS * rng.gen_range(0.0f64..1.0).sqrt();
+                        let t = rng.gen_range(0.0..std::f64::consts::TAU);
+                        points.push(Point::new(c.x + d * t.cos(), c.y + d * t.sin()));
+                    }
+                }
+                points
+            })
+            .collect();
+        let mut got = vec![Located::Silent; batch];
+        let mut want = vec![Located::Silent; batch];
+        let mut stats = TileStats::default();
+        for points in &batches {
+            voronoi.locate_batch(points, &mut got);
+            batch_map(points, &mut want, |p| voronoi.locate(*p));
+            assert_eq!(got, want, "hotspot: locate_batch diverged from per-point");
+            let s = tile::locate_batch_tiled(
+                voronoi.evaluator(),
+                voronoi.kernel(),
+                Select::MaxEnergy,
+                points,
+                &mut got,
+                &TileConfig::default(),
+                |p| voronoi.locate(p),
+            );
+            stats.points += s.points;
+            stats.tiles += s.tiles;
+            stats.pruned_tiles += s.pruned_tiles;
+            stats.candidate_stations += s.candidate_stations;
+            stats.fallback_points += s.fallback_points;
+        }
+        let pass_points = batches.len() * batch;
+        let batch_ns = min_ns_per_point(DEFAULT_REPS, pass_points, || {
+            for points in &batches {
+                voronoi.locate_batch(black_box(points), &mut got);
+            }
+        });
+        let pp_ns = min_ns_per_point(DEFAULT_REPS, pass_points, || {
+            for points in &batches {
+                batch_map(black_box(points), &mut want, |p| voronoi.locate(*p));
+            }
+        });
+        let line = JsonLine::new("engine_batch")
+            .str("scenario", "hotspot")
+            .str("backend", "voronoi_assisted")
+            .str("power_shape", "clustered")
+            .str("simd_kernel", voronoi.kernel().name())
+            .int("avx512_detected", SimdKernel::Avx512.is_supported() as u64)
+            .int("stations", net.len() as u64)
+            .int("query_points", batch as u64)
+            .int("patch_points", HOTSPOT_PATCH as u64)
+            .int("batches", batches.len() as u64)
+            .num("ns_per_point", batch_ns)
+            .num("perpoint_ns_per_point", pp_ns)
+            .num("speedup_batch_vs_perpoint", pp_ns / batch_ns)
+            .int("tiles", stats.tiles)
+            .int("pruned_tiles", stats.pruned_tiles)
+            .num(
+                "mean_candidates",
+                stats.mean_candidates().unwrap_or(f64::NAN),
+            )
+            .num(
+                "fallback_fraction",
+                stats.fallback_points as f64 / stats.points as f64,
+            );
+        println!("{}", line.render());
+    }
+}
+
+/// The non-uniform record: `VoronoiAssisted` on a clustered-power
+/// network (weighted kd-tree dispatch + `MaxEnergy` tile envelopes)
+/// against `ExactScan` on the same network (what non-uniform queries
+/// cost pre-dispatch), answers asserted bit-identical to a same-kernel
+/// `SimdScan`. Both backends are timed through `locate_batch` (the
+/// headline) and through the per-point loop (`batch_map` of `locate`,
+/// the floor's ratio). One `"scenario":"nonuniform"` line.
+fn emit_nonuniform_json_lines() {
+    let n = NONUNIFORM_STATIONS;
+    let half = window_half(n);
+    let (net, mut rng) = clustered_network();
     let queries = gen::uniform_in_box(&mut rng, QUERY_POINTS, half * 1.1);
 
     let exact = ExactScan::new(&net);
@@ -740,8 +866,14 @@ fn emit_nonuniform_json_lines() {
     let exact_ns = min_ns_per_point(NONUNIFORM_REPS, queries.len(), || {
         exact.locate_batch(black_box(&queries), &mut want);
     });
+    let voronoi_pp_ns = min_ns_per_point(NONUNIFORM_REPS, queries.len(), || {
+        batch_map(black_box(&queries), &mut out, |p| voronoi.locate(*p));
+    });
+    let exact_pp_ns = min_ns_per_point(NONUNIFORM_REPS, queries.len(), || {
+        batch_map(black_box(&queries), &mut want, |p| exact.locate(*p));
+    });
 
-    let speedup = exact_ns / voronoi_ns;
+    let speedup = exact_pp_ns / voronoi_pp_ns;
     assert!(
         speedup >= NONUNIFORM_MIN_SPEEDUP,
         "nonuniform: weighted dispatch {speedup:.1}x below the {NONUNIFORM_MIN_SPEEDUP}x floor"
@@ -758,6 +890,9 @@ fn emit_nonuniform_json_lines() {
         .num("macro_power", NONUNIFORM_MACRO_POWER)
         .num("ns_per_point", voronoi_ns)
         .num("exact_scan_ns_per_point", exact_ns)
+        .num("speedup_batch_vs_exact", exact_ns / voronoi_ns)
+        .num("perpoint_ns_per_point", voronoi_pp_ns)
+        .num("exact_scan_perpoint_ns_per_point", exact_pp_ns)
         .num("speedup_weighted_vs_exact", speedup);
     println!("{}", line.render());
 }
@@ -874,6 +1009,7 @@ fn emit_heatmap_json_lines() {
 fn main() {
     benches();
     emit_json_lines();
+    emit_hotspot_json_lines();
     emit_nonuniform_json_lines();
     emit_churn_json_lines();
     emit_channel_mc_json_lines();

@@ -90,11 +90,12 @@ use crate::engine::{LocateError, Located, SinrEvaluator, BATCH_TILE};
 use crate::simd::SimdKernel;
 use crate::station::StationId;
 use crate::tile::{
-    morton_order, steal_tiles, tile_box, BoxEnvelope, Decider, Scratch, Select, TILED_MIN_STATIONS,
+    morton_tiles, steal_tiles, tile_box, BoxEnvelope, Decider, Scratch, Select, TILED_MIN_STATIONS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sinr_geometry::Point;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Hard cap on Monte-Carlo trials per request — bounds the work a single
@@ -369,30 +370,30 @@ fn unit_exponential(rng: &mut StdRng) -> f64 {
 /// the trial's effective powers recovers exactly the envelope
 /// [`crate::tile::locate_batch_tiled`] would compute from scratch.
 struct TilePrep {
-    start: usize,
-    end: usize,
+    range: Range<usize>,
     /// `None` when the tile contains a non-finite query point — every
     /// trial runs such tiles through the serial kernel wholesale.
     att: Option<Vec<(f64, f64)>>,
 }
 
-/// Builds the Morton order and the per-tile unit-power envelopes — the
-/// trial-invariant half of the tiled pipeline, computed once per batch.
+/// Builds the Morton tiles ([`morton_tiles`], the tiles
+/// [`crate::tile::locate_batch_tiled`] runs) and their unit-power
+/// envelopes — the trial-invariant half of the tiled pipeline, computed
+/// once per batch.
 fn prepare_tiles(eval: &SinrEvaluator, points: &[Point]) -> (Vec<u32>, Vec<TilePrep>) {
-    let order = morton_order(points);
+    let (order, tiles) = morton_tiles(points, BATCH_TILE);
     let (xs, ys, _) = eval.soa();
-    let preps = (0..order.len().div_ceil(BATCH_TILE))
-        .map(|t| {
-            let start = t * BATCH_TILE;
-            let end = ((t + 1) * BATCH_TILE).min(order.len());
-            let att = tile_box(points, &order[start..end]).map(|bbox| {
+    let preps = tiles
+        .into_iter()
+        .map(|range| {
+            let att = tile_box(points, &order[range.clone()]).map(|bbox| {
                 let env = BoxEnvelope::new(eval.alpha(), bbox);
                 xs.iter()
                     .zip(ys)
                     .map(|(&x, &y)| env.station(x, y, 1.0))
                     .collect()
             });
-            TilePrep { start, end, att }
+            TilePrep { range, att }
         })
         .collect();
     (order, preps)
@@ -500,15 +501,14 @@ where
         prepare_tiles(eval, points)
     } else {
         let span = TilePrep {
-            start: 0,
-            end: points.len(),
+            range: 0..points.len(),
             att: None,
         };
         ((0..points.len() as u32).collect(), vec![span])
     };
     let decider = Decider::new(eval, kernel, Select::MaxEnergy);
     let counts: Vec<AtomicU32> = points.iter().map(|_| AtomicU32::new(0)).collect();
-    steal_tiles::<McScratch, _>(trials as usize, |t, scratch| {
+    steal_tiles::<McScratch, _>(trials as usize, usize::MAX, |t, scratch| {
         let McScratch {
             scaled,
             gains,
@@ -528,7 +528,7 @@ where
                 .att
                 .as_ref()
                 .and_then(|att| tile.prune(soa, |j| (att[j].0 * sws[j], att[j].1 * sws[j])));
-            let idxs = &order[prep.start..prep.end];
+            let idxs = &order[prep.range.clone()];
             tile.answer_tile(
                 &decider,
                 resid,

@@ -85,17 +85,24 @@
 //!
 //! How a `locate_batch` call actually runs, in order of engagement:
 //!
-//! 1. **Serial** — batches shorter than [`PARALLEL_BATCH_THRESHOLD`]
-//!    run a plain per-point loop on the calling thread.
-//! 2. **Per-point work stealing** — longer batches against *small*
-//!    networks (fewer than
-//!    [`TILED_MIN_STATIONS`](crate::tile::TILED_MIN_STATIONS) stations)
-//!    are cut into [`BATCH_TILE`]-input tiles claimed by worker threads
+//! 1. **Serial** — batches shorter than one tile ([`BATCH_TILE`]
+//!    points), and batches shorter than [`PARALLEL_BATCH_THRESHOLD`]
+//!    against *small* networks (fewer than
+//!    [`TILED_MIN_STATIONS`](crate::tile::TILED_MIN_STATIONS)
+//!    stations), run a plain per-point loop on the calling thread.
+//! 2. **Per-point work stealing** — batches of at least
+//!    [`PARALLEL_BATCH_THRESHOLD`] points against small networks are
+//!    cut into [`BATCH_TILE`]-input tiles claimed by worker threads
 //!    through one atomic counter ([`batch_map`]).
-//! 3. **Spatially-coherent tiled execution** ([`crate::tile`]) — longer
-//!    batches against larger networks are Morton-sorted into
-//!    [`BATCH_TILE`]-point spatial tiles (an index permutation; output
-//!    positions never change), and each tile amortizes its work:
+//! 3. **Spatially-coherent tiled execution** ([`crate::tile`]) —
+//!    batches of at least [`BATCH_TILE`] points against larger networks
+//!    are Morton-sorted (an index permutation; output positions never
+//!    change) and cut into spatial tiles of at most [`BATCH_TILE`]
+//!    points that are separated Morton cells
+//!    ([`crate::tile::morton_tiles`]: distant hotspots never share a
+//!    tile). Below [`PARALLEL_BATCH_THRESHOLD`] the tiles run on the
+//!    calling thread, from it on across the cores. Each tile amortizes
+//!    its work:
 //!    * one `O(n)` pass computes every station's certified energy
 //!      envelope over the tile's bounding box
 //!      ([`crate::bounds::energy_envelope`]); stations provably
@@ -117,9 +124,14 @@
 //!      tiled-differential and permutation-invariance suites).
 //!
 //!    Tiles are also the stealable work units, so the scheduler knob is
-//!    shared: [`BATCH_TILE`] is both the steal granularity and the
-//!    spatial tile size ([`crate::tile::TileConfig`] makes it tunable
-//!    per call).
+//!    shared: [`BATCH_TILE`] is the steal granularity, the largest
+//!    spatial tile and the shortest tiled batch
+//!    ([`crate::tile::TileConfig`] makes it tunable per call), while
+//!    [`PARALLEL_BATCH_THRESHOLD`] decides only the thread fan-out.
+//!    The fan-out is shared, too: a parallel batch spawns helpers only
+//!    for cores that no other batch in flight holds
+//!    ([`crate::tile::steal_tiles`]), so concurrent sessions each run
+//!    their batch inline rather than oversubscribe the cores.
 //!
 //! [`VoronoiAssisted`] layers **proximity dispatch** on top: each query
 //! first finds the one station that could possibly be heard, the station
@@ -439,21 +451,30 @@ impl PathLoss for GeneralAlpha {
     }
 }
 
-/// Batches at least this long are processed in parallel.
+/// Batches at least this long are processed in parallel; shorter ones
+/// run on the calling thread, spawning nothing. This decides only the
+/// thread fan-out: whether a batch takes the tiled executor is
+/// [`crate::tile::TileConfig::engages`]'s call, and a tiled batch below
+/// this length runs its tiles inline.
 ///
 /// Public so the threshold-boundary regression tests (and downstream
 /// batch drivers) can pin behaviour exactly at the serial/parallel
 /// crossover.
 pub const PARALLEL_BATCH_THRESHOLD: usize = 2048;
 
-/// The batch granularity: both the work-stealing scheduler and the
-/// spatial tiler of [`crate::tile`] hand out work in tiles of this many
-/// inputs — **one knob, not two**. Coarse enough that the shared atomic
-/// counter is cold and a tile's Morton bounding box is worth pruning
-/// against, fine enough that skewed workloads rebalance across threads
-/// and tiles stay spatially tight. Bench-tunable per call through
-/// [`crate::tile::TileConfig::tile_points`] (this constant is its
-/// default); the `engine_batch` bench sweeps it.
+/// The batch granularity: the work-stealing scheduler hands out tiles
+/// of this many inputs, the spatial tiler of [`crate::tile`] cuts tiles
+/// of at most this many points, and a batch of at least this many
+/// points against a large network takes the tiled executor — **one
+/// knob, not three**. Coarse enough that the shared atomic counter is
+/// cold and a tile's per-station envelope pass amortizes over its
+/// points, fine enough that skewed workloads rebalance across threads
+/// and tiles stay spatially tight. Shorter batches run per point: on
+/// uniformly scattered batches against 4096 stations, on one CPU, the
+/// tiled path cost 19% more than the per-point loop at 64 points and 6%
+/// more at 256, and broke even near 512. Bench-tunable per
+/// call through [`crate::tile::TileConfig`] (this constant is the
+/// default of its `tile_points` and `min_points`).
 pub const BATCH_TILE: usize = 512;
 
 /// Applies `f` to every input, writing results into `out` — work-stolen
@@ -482,29 +503,38 @@ where
         inputs.len(),
         out.len()
     );
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let len = inputs.len();
-    if len < PARALLEL_BATCH_THRESHOLD || threads <= 1 {
-        for (p, slot) in inputs.iter().zip(out.iter_mut()) {
-            *slot = f(p);
-        }
-        return;
-    }
     let slots = steal::OutputSlots::new(out);
     // One scheduler for the whole crate: the same tile-claiming loop
     // drives this per-point path and the spatial executors of
-    // `crate::tile`.
-    crate::tile::steal_tiles::<(), _>(len.div_ceil(BATCH_TILE), |tile, _scratch| {
-        let start = tile * BATCH_TILE;
-        let end = (start + BATCH_TILE).min(len);
-        for (i, p) in inputs[start..end].iter().enumerate() {
-            // Tiles are claimed exactly once (fetch_add), so every
-            // index is written by exactly one worker.
-            slots.write(start + i, f(p));
-        }
-    });
+    // `crate::tile`, under the same fan-out rule.
+    crate::tile::steal_tiles::<(), _>(
+        len.div_ceil(BATCH_TILE),
+        batch_workers(len),
+        |tile, _scratch| {
+            let start = tile * BATCH_TILE;
+            let end = (start + BATCH_TILE).min(len);
+            for (i, p) in inputs[start..end].iter().enumerate() {
+                // Tiles are claimed exactly once (fetch_add), so every
+                // index is written by exactly one worker.
+                slots.write(start + i, f(p));
+            }
+        },
+    );
+}
+
+/// The worker cap of a `len`-input batch: one (the calling thread,
+/// nothing spawned) below [`PARALLEL_BATCH_THRESHOLD`], no cap from it
+/// on but the cores other batches leave free. The one fan-out rule of
+/// the batch paths: [`batch_map`] and the
+/// executors of [`crate::tile`] pass it to
+/// [`crate::tile::steal_tiles`].
+pub fn batch_workers(len: usize) -> usize {
+    if len < PARALLEL_BATCH_THRESHOLD {
+        1
+    } else {
+        usize::MAX
+    }
 }
 
 /// The one unsafe corner of the scheduler: a `Send + Sync` handle to the

@@ -19,8 +19,12 @@
 //!    yields an index *permutation* (the input and output slices are
 //!    never reordered — answers land at their original positions, so the
 //!    output is positionally identical to the per-point path).
-//! 2. **Per-tile candidate pruning** — consecutive runs of
-//!    [`TileConfig::tile_points`] sorted points form a tile. One `O(n)`
+//! 2. **Per-tile candidate pruning** — the sorted points are cut into
+//!    tiles that are separated Morton cells ([`morton_tiles`]): a run is
+//!    split at its quadtree cell's midline while it holds more than
+//!    [`TileConfig::tile_points`] points, or while its two halves'
+//!    boxes leave most of its box empty, so two hotspots far apart
+//!    never share a tile and its bounding box. One `O(n)`
 //!    pass over the station columns computes each station's certified
 //!    energy envelope over the tile's bounding box
 //!    ([`crate::bounds::energy_envelope`]); stations whose envelope top
@@ -61,20 +65,25 @@
 //! only ever cause a fallback (a perf event), never a changed answer.
 //! Tiles whose points are not all finite fall back wholesale.
 //!
-//! Tiles are the work-stealing scheduler's unit (the same
-//! [`BATCH_TILE`]-point granularity as the
-//! per-point scheduler), so skewed tiles rebalance across cores exactly
-//! like skewed points did.
+//! A batch of at least [`BATCH_TILE`] points takes this executor.
+//! Below
+//! [`PARALLEL_BATCH_THRESHOLD`](crate::engine::PARALLEL_BATCH_THRESHOLD)
+//! its tiles run on the calling thread with one scratch; from there on
+//! the tiles (at most
+//! [`BATCH_TILE`] points each, the per-point scheduler's granularity)
+//! are the work-stealing scheduler's units, so skewed tiles rebalance
+//! across cores exactly like skewed points did.
 
 use crate::bounds::{dist2_range_to_box, energy_envelope};
 use crate::engine::steal::OutputSlots;
 use crate::engine::{
-    GeneralAlpha, InverseSquare, Located, SinrEvaluator, BATCH_TILE, PARALLEL_BATCH_THRESHOLD,
+    batch_workers, GeneralAlpha, InverseSquare, Located, SinrEvaluator, BATCH_TILE,
 };
 use crate::simd::{self, SimdKernel};
 use crate::station::StationId;
 use sinr_algebra::KahanSum;
 use sinr_geometry::Point;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Relative widening applied to each station's per-tile energy envelope
@@ -101,19 +110,24 @@ const SERIAL_KEEP_EIGHTHS: usize = 7;
 
 /// Tuning knobs of the tiled executor.
 ///
-/// The defaults are the shared batch granularity
-/// ([`BATCH_TILE`] points per tile — one knob
-/// for both the work-stealing scheduler and the spatial tiler) and the
-/// thresholds the engines ship with; benches and differential tests
-/// construct custom configs to sweep the tile size or force the tiled
-/// path onto small inputs.
+/// The defaults are the shared batch granularity ([`BATCH_TILE`]: at
+/// most that many points per tile, and a batch of at least one full
+/// tile engages the tiled path — one knob for both the work-stealing
+/// scheduler and the spatial tiler) and the station threshold the
+/// engines ship with. Whether the tiles then run on the calling thread
+/// or across the cores is decided by
+/// [`PARALLEL_BATCH_THRESHOLD`](crate::engine::PARALLEL_BATCH_THRESHOLD)
+/// alone.
+/// Benches and differential tests construct custom configs to sweep the
+/// tile size or force the tiled path onto small inputs.
 #[derive(Debug, Clone, Copy)]
 pub struct TileConfig {
-    /// Query points per spatial tile (and per stolen work unit).
+    /// Maximum query points per spatial tile (see [`morton_tiles`]);
+    /// tiles are the stolen work units.
     pub tile_points: usize,
     /// Minimum station count for the pruned path to pay for itself.
     pub min_stations: usize,
-    /// Minimum batch length; shorter batches stay on the serial loop.
+    /// Minimum batch length; shorter batches stay on the per-point loop.
     pub min_points: usize,
 }
 
@@ -122,7 +136,7 @@ impl Default for TileConfig {
         TileConfig {
             tile_points: BATCH_TILE,
             min_stations: TILED_MIN_STATIONS,
-            min_points: PARALLEL_BATCH_THRESHOLD,
+            min_points: BATCH_TILE,
         }
     }
 }
@@ -194,12 +208,12 @@ fn spread16(v: u32) -> u32 {
     x
 }
 
-/// The Morton (Z-order) permutation of `points`: indices sorted by the
-/// interleaved 16+16-bit grid cell over the batch bounding box, ties
-/// (and non-finite points, which all map to the max key) in original
-/// order — the sort is a stable two-pass radix, so the permutation is
-/// deterministic for any input.
-pub fn morton_order(points: &[Point]) -> Vec<u32> {
+/// The batch's `(Morton key, original index)` pairs sorted by key: each
+/// point is mapped to its interleaved 16+16-bit grid cell over the
+/// batch bounding box, ties (and non-finite points, which all map to
+/// the max key) in original order — the sort is a stable radix sort,
+/// so the order is deterministic for any input.
+fn morton_keys(points: &[Point]) -> Vec<(u32, u32)> {
     assert!(
         points.len() <= u32::MAX as usize,
         "batches beyond u32::MAX points are unsupported"
@@ -265,7 +279,7 @@ pub fn morton_order(points: &[Point]) -> Vec<u32> {
         }
         std::mem::swap(&mut keyed, &mut aux);
     }
-    keyed.into_iter().map(|(_, i)| i).collect()
+    keyed
 }
 
 /// Cells-per-unit for one axis of the Morton grid (0 collapses the axis
@@ -279,69 +293,245 @@ fn grid_scale(min: f64, max: f64) -> f64 {
     }
 }
 
+/// The spatial tiles of a batch: its Morton permutation (`order[k]` is
+/// the original index of the `k`-th point in Z-order) and the tiles as
+/// consecutive ranges of `order`. The ranges partition
+/// `0..points.len()` in order, so the tiles own disjoint sets of
+/// original indices — what lets the executors write answers from
+/// several workers at once.
+///
+/// A tile is a Morton cell: the sorted keys are cut recursively at the
+/// highest bit in which a run's first and last key differ, which splits
+/// the run's quadtree cell into its two halves. A run is cut while it
+/// holds more than `tile_points` points, and also while it holds more
+/// than `tile_points / 8` points and its halves' bounding boxes (in
+/// Morton grid cells) together cover less than a quarter of its own:
+/// two point clusters far apart become two tiles with small boxes
+/// instead of one tile whose box spans the gap, so per-tile pruning
+/// keeps only the locally competitive stations. A uniformly filled cell
+/// is not cut by the gap rule (its halves cover it), so the tiles of a
+/// scattered batch are cut by size alone. Points that share one key
+/// (coincident points, a cluster inside one grid cell, the non-finite
+/// points) have no bit left to cut at and are chunked by `tile_points`
+/// alone.
+///
+/// A `tile_points` of 0 is treated as 1.
+pub fn morton_tiles(points: &[Point], tile_points: usize) -> (Vec<u32>, Vec<Range<usize>>) {
+    let keyed = morton_keys(points);
+    let mut cutter = Cutter {
+        keyed: &keyed,
+        tile: tile_points.max(1),
+        tiles: Vec::new(),
+    };
+    if !keyed.is_empty() {
+        cutter.cut(0..keyed.len());
+    }
+    let tiles = cutter.tiles;
+    (keyed.into_iter().map(|(_, i)| i).collect(), tiles)
+}
+
+/// The recursive cut of [`morton_tiles`] over the sorted keys.
+struct Cutter<'a> {
+    keyed: &'a [(u32, u32)],
+    tile: usize,
+    tiles: Vec<Range<usize>>,
+}
+
+impl Cutter<'_> {
+    /// Appends the tiles of the non-empty run `keyed[run]` in order.
+    /// Every cut drops at least one key bit, so the depth is at most 32.
+    fn cut(&mut self, run: Range<usize>) {
+        let diff = self.keyed[run.start].0 ^ self.keyed[run.end - 1].0;
+        if diff == 0 {
+            let (tile, end) = (self.tile, run.end);
+            self.tiles
+                .extend(run.step_by(tile).map(|s| s..(s + tile).min(end)));
+            return;
+        }
+        // The keys of a sorted run share every bit above `bit`, so the
+        // keys with `bit` clear come first.
+        let bit = 1u32 << (31 - diff.leading_zeros());
+        let mid = run.start + self.keyed[run.clone()].partition_point(|&(k, _)| k & bit == 0);
+        let split = run.len() > self.tile
+            || (run.len() > self.tile / 8 && {
+                let (lo, hi) = (self.cells(run.start..mid), self.cells(mid..run.end));
+                lo.area() + hi.area() < lo.union(hi).area() / 4.0
+            });
+        if split {
+            self.cut(run.start..mid);
+            self.cut(mid..run.end);
+        } else {
+            self.tiles.push(run);
+        }
+    }
+
+    /// The bounding box, in Morton grid cells, of the non-empty run
+    /// `keyed[run]`.
+    fn cells(&self, run: Range<usize>) -> Cells {
+        let mut keys = self.keyed[run].iter().map(|&(k, _)| k);
+        let first = Cells::of(keys.next().expect("runs are non-empty"));
+        keys.fold(first, |c, k| c.union(Cells::of(k)))
+    }
+}
+
+/// An axis-aligned box of Morton grid cells, corners inclusive.
+#[derive(Clone, Copy)]
+struct Cells {
+    min: (u32, u32),
+    max: (u32, u32),
+}
+
+impl Cells {
+    /// The one cell of a Morton key.
+    fn of(key: u32) -> Cells {
+        let cell = (compact16(key), compact16(key >> 1));
+        Cells {
+            min: cell,
+            max: cell,
+        }
+    }
+
+    fn union(self, o: Cells) -> Cells {
+        Cells {
+            min: (self.min.0.min(o.min.0), self.min.1.min(o.min.1)),
+            max: (self.max.0.max(o.max.0), self.max.1.max(o.max.1)),
+        }
+    }
+
+    fn area(self) -> f64 {
+        f64::from(self.max.0 - self.min.0) * f64::from(self.max.1 - self.min.1)
+    }
+}
+
+/// Gathers the even bits of `v` into the low 16 bits (the inverse of
+/// [`spread16`]).
+fn compact16(v: u32) -> u32 {
+    let mut x = v & 0x5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333;
+    x = (x | (x >> 2)) & 0x0F0F_0F0F;
+    x = (x | (x >> 4)) & 0x00FF_00FF;
+    (x | (x >> 8)) & 0x0000_FFFF
+}
+
 /// Runs `f(tile_index, &mut scratch)` over `0..num_tiles`, work-stolen
-/// across the available cores through one atomic counter (inline when
-/// one worker suffices). Each worker owns one `S` scratch value for the
-/// whole run, so per-tile allocations amortize away; the scratch values
-/// are returned (one per worker, in no particular order) so workers can
-/// also accumulate results in them.
+/// across at most `max_workers` of the available cores through one
+/// atomic counter (inline on the calling thread, spawning nothing, when
+/// one worker suffices). A batch's cap is
+/// [`crate::engine::batch_workers`] of its length; `usize::MAX` leaves
+/// the count to the cores and the tiles. Each worker owns one `S`
+/// scratch value for the whole run, so per-tile allocations amortize
+/// away; the scratch values are returned (one per worker, in no
+/// particular order) so workers can also accumulate results in them.
+///
+/// The calling thread is always one of the workers, so a call spawns
+/// at most `workers - 1` helpers. Calls share the cores: the process
+/// counts the workers of every call in flight, and a call takes
+/// helpers only for cores the others leave free. Two sessions that
+/// each send a long batch on a two-core server therefore run one
+/// inline batch per core, instead of four threads time-sliced on two
+/// cores with two spawns and a join per batch. A call that starts while
+/// the cores are all taken runs inline, and so does a call made from
+/// inside a tile.
 ///
 /// This is the **one** work-stealing scheduler of the workspace:
-/// [`crate::engine::batch_map`]'s parallel branch, [`batch_map_morton`],
+/// [`crate::engine::batch_map`], [`batch_map_morton`],
 /// [`locate_batch_tiled`], the Monte-Carlo executor of
 /// [`crate::channel`] (trials as the units) and the quadtree refinement
 /// of `sinr-diagram` run through it,
-/// so the worker-count clamp and the `fetch_add` claim protocol (which
-/// the `OutputSlots` soundness argument leans on) exist in exactly one
-/// place. Every tile index is claimed exactly once.
-pub fn steal_tiles<S, F>(num_tiles: usize, f: F) -> Vec<S>
+/// so the inline-or-fan-out decision, the worker-count clamp and the
+/// `fetch_add` claim protocol (which the `OutputSlots` soundness
+/// argument leans on) exist in exactly one place. Every tile index is
+/// claimed exactly once.
+pub fn steal_tiles<S, F>(num_tiles: usize, max_workers: usize, f: F) -> Vec<S>
 where
     S: Default + Send,
     F: Fn(usize, &mut S) + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = threads.min(num_tiles);
-    if workers <= 1 {
+    // Counting the cores reads the affinity mask and the cgroup quota
+    // (14–24 µs a call in a container), so an inline run skips it.
+    let (cores, want) = if max_workers <= 1 || num_tiles <= 1 {
+        (1, 1)
+    } else {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (cores, cores.min(num_tiles).min(max_workers))
+    };
+    let held = Held::claim(cores, want);
+    let next = AtomicUsize::new(0);
+    let work = || {
         let mut scratch = S::default();
-        for t in 0..num_tiles {
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= num_tiles {
+                break;
+            }
             f(t, &mut scratch);
         }
-        return vec![scratch];
+        scratch
+    };
+    if held.0 <= 1 {
+        return vec![work()];
     }
-    let next = AtomicUsize::new(0);
+    // The calling thread is one of the workers.
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = S::default();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= num_tiles {
-                            break;
-                        }
-                        f(t, &mut scratch);
-                    }
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+        let helpers: Vec<_> = (1..held.0).map(|_| scope.spawn(work)).collect();
+        let mut scratches = vec![work()];
+        scratches.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        scratches
     })
 }
 
-/// Morton-permuted tile scheduling for an arbitrary per-point function:
-/// same answers as a serial loop of `f` (it *is* `f`, per point — only
-/// the visit order and the thread placement change), with spatially
-/// coherent tiles as the stealable work units. This is the
+/// Threads of this process running [`steal_tiles`] workers right now:
+/// every call's own thread and the helpers it spawned.
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+/// The workers one [`steal_tiles`] call holds in [`RUNNING`], released
+/// on drop (a panicking tile included).
+struct Held(usize);
+
+impl Held {
+    /// Holds the calling thread plus up to `want - 1` helpers, but no
+    /// more than the `cores` other calls leave free: a call that starts
+    /// while other batches keep every core busy runs inline instead of
+    /// stacking threads onto them.
+    fn claim(cores: usize, want: usize) -> Held {
+        let mut running = RUNNING.load(Ordering::Relaxed);
+        loop {
+            let workers = want.min(cores.saturating_sub(running)).max(1);
+            match RUNNING.compare_exchange_weak(
+                running,
+                running + workers,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Held(workers),
+                Err(now) => running = now,
+            }
+        }
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        RUNNING.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Morton-tiled scheduling for an arbitrary per-point function: same
+/// answers as a serial loop of `f` (it *is* `f`, per point — only the
+/// visit order and the thread placement change), visiting the
+/// [`morton_tiles`] of the batch as the work units. This is the
 /// locality-only flavour of the executor — the Theorem-3 `PointLocator`
 /// routes `locate_batch` through it so queries dispatching to the same
 /// zone grid are processed together, and `sinr_batch` uses it for its
-/// batch path.
+/// batch path. A batch that would not fan out (one shorter than
+/// [`PARALLEL_BATCH_THRESHOLD`](crate::engine::PARALLEL_BATCH_THRESHOLD))
+/// or is shorter than [`TileConfig::min_points`] runs a plain serial
+/// loop: the Morton visit order pays when its tiles spread across
+/// threads.
 ///
 /// # Panics
 ///
@@ -358,21 +548,20 @@ where
         points.len(),
         out.len()
     );
-    let tile = cfg.tile_points.max(1);
-    if points.len() < cfg.min_points {
+    let workers = batch_workers(points.len());
+    if workers <= 1 || points.len() < cfg.min_points {
         for (p, slot) in points.iter().zip(out.iter_mut()) {
             *slot = f(*p);
         }
         return;
     }
-    let order = morton_order(points);
+    let (order, tiles) = morton_tiles(points, cfg.tile_points);
     let slots = OutputSlots::new(out);
-    let num_tiles = order.len().div_ceil(tile);
-    steal_tiles::<(), _>(num_tiles, |t, _scratch| {
-        let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
-        for &i in idxs {
-            // The Morton order is a permutation, so tiles own disjoint
-            // original indices and every slot is written exactly once.
+    steal_tiles::<(), _>(tiles.len(), workers, |t, _scratch| {
+        for &i in &order[tiles[t].clone()] {
+            // The tiles partition the Morton permutation, so they own
+            // disjoint original indices and every slot is written
+            // exactly once.
             slots.write(i as usize, f(points[i as usize]));
         }
     });
@@ -645,8 +834,13 @@ impl Decider {
 /// [`Select`]), and `Select::Nearest` additionally requires uniform
 /// power (the Observation-2.2 precondition, the caller's contract).
 ///
-/// Returns run statistics; answers are written into `out` at their
-/// original positions.
+/// The tiles are the batch's [`morton_tiles`] under
+/// `cfg.tile_points`; they run on the calling thread when the batch is
+/// shorter than
+/// [`PARALLEL_BATCH_THRESHOLD`](crate::engine::PARALLEL_BATCH_THRESHOLD),
+/// across the cores otherwise. `cfg`'s engagement thresholds are the caller's business
+/// ([`TileConfig::engages`]). Returns run statistics; answers are
+/// written into `out` at their original positions.
 ///
 /// # Panics
 ///
@@ -671,18 +865,16 @@ where
         out.len()
     );
     let decider = Decider::new(eval, kernel, select);
-    let tile = cfg.tile_points.max(1);
-    let order = morton_order(points);
+    let (order, tiles) = morton_tiles(points, cfg.tile_points);
     let slots = OutputSlots::new(out);
-    let num_tiles = order.len().div_ceil(tile);
     let soa = eval.soa();
     let (xs, ys, ws) = soa;
     let alpha = eval.alpha();
     let pruned_tiles = AtomicU64::new(0);
     let candidate_stations = AtomicU64::new(0);
     let fallback_points = AtomicU64::new(0);
-    steal_tiles::<Scratch, _>(num_tiles, |t, scratch| {
-        let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
+    steal_tiles::<Scratch, _>(tiles.len(), batch_workers(points.len()), |t, scratch| {
+        let idxs = &order[tiles[t].clone()];
         let resid = tile_box(points, idxs).and_then(|bbox| {
             let env = BoxEnvelope::new(alpha, bbox);
             scratch.prune(soa, |j| env.station(xs[j], ys[j], ws[j]))
@@ -701,7 +893,7 @@ where
     });
     TileStats {
         points: points.len() as u64,
-        tiles: num_tiles as u64,
+        tiles: tiles.len() as u64,
         pruned_tiles: pruned_tiles.into_inner(),
         candidate_stations: candidate_stations.into_inner(),
         fallback_points: fallback_points.into_inner(),
@@ -1353,5 +1545,120 @@ mod pass_tests {
         batch_map_morton(&[Point::ORIGIN; 2], &mut out, &TileConfig::default(), |p| {
             p.x
         });
+    }
+}
+
+#[cfg(test)]
+mod tiling_tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// Asserts the [`morton_tiles`] contract: `order` is a permutation
+    /// of the batch, the tiles are non-empty consecutive ranges that
+    /// cover it exactly once, and none holds more than `tile_points`.
+    fn check_partition(points: &[Point], tile_points: usize) -> (Vec<u32>, Vec<Range<usize>>) {
+        let (order, tiles) = morton_tiles(points, tile_points);
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert!(
+            seen.iter().copied().eq(0..points.len() as u32),
+            "the Morton order is not a permutation"
+        );
+        let mut next = 0;
+        for t in &tiles {
+            assert_eq!(t.start, next, "tiles {tiles:?} leave a gap or overlap");
+            assert!(!t.is_empty(), "empty tile in {tiles:?}");
+            assert!(
+                t.len() <= tile_points.max(1),
+                "tile {t:?} over {tile_points}"
+            );
+            next = t.end;
+        }
+        assert_eq!(next, points.len(), "tiles {tiles:?} do not cover the batch");
+        (order, tiles)
+    }
+
+    #[test]
+    fn tiles_partition_mixed_batches() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x711E);
+        for case in 0..40 {
+            let mut points = Vec::new();
+            for _ in 0..rng.gen_range(1..8) {
+                let c = Point::new(rng.gen_range(-1e3..1e3), rng.gen_range(-1e3..1e3));
+                let r = [0.0, 1e-9, 0.5, 50.0][rng.gen_range(0..4usize)];
+                for _ in 0..rng.gen_range(1..900) {
+                    points.push(Point::new(
+                        c.x + rng.gen_range(-1.0..1.0) * r,
+                        c.y + rng.gen_range(-1.0..1.0) * r,
+                    ));
+                }
+            }
+            if case % 3 == 0 {
+                points[0] = Point::new(f64::NAN, 1.0);
+                points.push(Point::new(2.0, f64::INFINITY));
+            }
+            for tile_points in [0, 1, 7, 64, 512] {
+                check_partition(&points, tile_points);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_point_batches() {
+        let (order, tiles) = check_partition(&[], 512);
+        assert!(order.is_empty() && tiles.is_empty());
+        for p in [Point::new(3.0, -1.0), Point::new(f64::NAN, 0.0)] {
+            let (order, tiles) = check_partition(&[p], 512);
+            assert_eq!(order, [0]);
+            assert_eq!(tiles.len(), 1);
+            assert_eq!(tiles[0], 0..1);
+        }
+    }
+
+    #[test]
+    fn one_key_runs_are_chunked_by_size() {
+        // All coincident: every key is 0, so there is no bit to cut at.
+        let (order, tiles) = check_partition(&[Point::new(1.5, 2.5); 1000], 64);
+        assert_eq!(tiles.len(), 1000usize.div_ceil(64));
+        assert!(order.iter().copied().eq(0..1000), "ties keep input order");
+        // All non-finite: every key is `u32::MAX`.
+        let nan = [
+            Point::new(f64::NAN, 0.0),
+            Point::new(0.0, f64::NEG_INFINITY),
+        ];
+        let points: Vec<Point> = (0..300).map(|k| nan[k % 2]).collect();
+        let (_, tiles) = check_partition(&points, 128);
+        assert_eq!(tiles, [0..128, 128..256, 256..300]);
+    }
+
+    #[test]
+    fn distant_clusters_get_their_own_tiles() {
+        // Two 100-point clusters far apart fit one 512-point tile by
+        // size, but their halves leave most of the joint box empty.
+        let mut points = Vec::new();
+        for k in 0..200 {
+            let c = if k % 2 == 0 { -500.0 } else { 500.0 };
+            let t = k as f64 * 0.37;
+            points.push(Point::new(c + t.cos(), c + t.sin()));
+        }
+        let (order, tiles) = check_partition(&points, 512);
+        assert_eq!(tiles.len(), 2, "{tiles:?}");
+        for t in tiles {
+            let first = points[order[t.start] as usize].x > 0.0;
+            assert!(order[t]
+                .iter()
+                .all(|&i| (points[i as usize].x > 0.0) == first));
+        }
+    }
+
+    #[test]
+    fn uniform_cells_are_cut_by_size_alone() {
+        // A 32×32 lattice: the first cut halves it into two 512-point
+        // row bands, which fill their boxes and stay whole.
+        let points: Vec<Point> = (0..1024)
+            .map(|k| Point::new((k % 32) as f64, (k / 32) as f64))
+            .collect();
+        let (_, tiles) = check_partition(&points, 512);
+        assert_eq!(tiles, [0..512, 512..1024]);
     }
 }

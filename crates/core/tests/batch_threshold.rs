@@ -21,11 +21,11 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sinr_core::engine::{
-    batch_map, ExactScan, Located, QueryEngine, VoronoiAssisted, BATCH_TILE,
+    batch_map, batch_workers, ExactScan, Located, QueryEngine, VoronoiAssisted, BATCH_TILE,
     PARALLEL_BATCH_THRESHOLD,
 };
 use sinr_core::simd::{SimdKernel, SimdScan};
-use sinr_core::tile::{TileConfig, TILED_MIN_STATIONS};
+use sinr_core::tile::{steal_tiles, TileConfig, TILED_MIN_STATIONS};
 use sinr_core::{gen, Network, SinrEvaluator};
 use sinr_geometry::Point;
 use sinr_pointloc::{PointLocator, QdsConfig};
@@ -140,33 +140,57 @@ proptest! {
     }
 }
 
-/// The PR-5 spatial tiler and the work-stealing scheduler share one
-/// batch-granularity knob: `TileConfig`'s default tile size IS
-/// `BATCH_TILE`, and its default engagement thresholds are the
-/// documented constants. A drift here means someone re-introduced a
+/// The spatial tiler and the work-stealing scheduler share one
+/// batch-granularity knob: `TileConfig`'s default tile size and its
+/// shortest tiled batch ARE `BATCH_TILE`, and its station threshold is
+/// the documented constant. A drift here means someone re-introduced a
 /// second knob.
 #[test]
 fn tile_config_defaults_share_the_batch_knob() {
     let cfg = TileConfig::default();
     assert_eq!(cfg.tile_points, BATCH_TILE);
-    assert_eq!(cfg.min_points, PARALLEL_BATCH_THRESHOLD);
+    assert_eq!(cfg.min_points, BATCH_TILE);
     assert_eq!(cfg.min_stations, TILED_MIN_STATIONS);
-    assert!(cfg.engages(PARALLEL_BATCH_THRESHOLD, TILED_MIN_STATIONS));
-    assert!(!cfg.engages(PARALLEL_BATCH_THRESHOLD - 1, TILED_MIN_STATIONS));
-    assert!(!cfg.engages(PARALLEL_BATCH_THRESHOLD, TILED_MIN_STATIONS - 1));
+    assert!(cfg.engages(BATCH_TILE, TILED_MIN_STATIONS));
+    assert!(!cfg.engages(BATCH_TILE - 1, TILED_MIN_STATIONS));
+    assert!(!cfg.engages(BATCH_TILE, TILED_MIN_STATIONS - 1));
 }
 
-/// The tiled-executor crossover: at `TILED_MIN_STATIONS ± 1` stations
-/// and `PARALLEL_BATCH_THRESHOLD ± 1` points — every combination of
-/// which path (serial / per-point parallel / tiled) runs — all backends
-/// and kernels stay bit-identical to the serial per-point loop.
+/// The one fan-out rule: a batch below `PARALLEL_BATCH_THRESHOLD` gets
+/// one worker, and under that cap `steal_tiles` runs every tile, in
+/// order, on the calling thread with one scratch value — what lets a
+/// tiled batch of a few tiles spawn nothing.
+#[test]
+fn short_batches_run_their_tiles_on_the_calling_thread() {
+    assert_eq!(batch_workers(0), 1);
+    assert_eq!(batch_workers(BATCH_TILE), 1);
+    assert_eq!(batch_workers(PARALLEL_BATCH_THRESHOLD - 1), 1);
+    assert!(batch_workers(PARALLEL_BATCH_THRESHOLD) > 1);
+    let caller = std::thread::current().id();
+    let workers = steal_tiles::<Vec<usize>, _>(8, batch_workers(4 * BATCH_TILE - 1), |t, seen| {
+        assert_eq!(
+            std::thread::current().id(),
+            caller,
+            "tile {t} left the caller"
+        );
+        seen.push(t);
+    });
+    assert_eq!(workers, [(0..8).collect::<Vec<_>>()]);
+}
+
+/// The tiled-executor crossovers: at `TILED_MIN_STATIONS ± 1` stations
+/// and `BATCH_TILE ± 1` and `PARALLEL_BATCH_THRESHOLD ± 1` points —
+/// every combination of which path (serial / per-point parallel / tiled
+/// inline / tiled parallel) runs — all backends and kernels stay
+/// bit-identical to the serial per-point loop.
 #[test]
 fn tiled_executor_threshold_boundaries_stay_serial_identical() {
     for stations in [TILED_MIN_STATIONS - 1, TILED_MIN_STATIONS] {
         let half = 2.0 * (stations as f64).sqrt();
         let net = gen::random_uniform_network(0x71E5 + stations as u64, stations, half, 0.01, 2.0)
             .unwrap();
-        for len in BOUNDARY_LENS {
+        let tile_lens = [BATCH_TILE - 1, BATCH_TILE, BATCH_TILE + 1];
+        for len in tile_lens.into_iter().chain(BOUNDARY_LENS) {
             let points = query_batch_window(&net, len, 0xAB, half * 1.1);
             assert_batch_equals_serial_exact("ExactScan", &ExactScan::new(&net), &points);
             assert_batch_equals_serial_exact(

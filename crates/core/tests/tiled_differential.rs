@@ -4,8 +4,9 @@
 //! reorders *scheduling* — Morton tiles, shared candidate pruning,
 //! certified decisions — but must never reorder or change *answers*.
 //! These suites pin exactly that, at scales where the pruned path
-//! actually engages (`TILED_MIN_STATIONS` stations and
-//! `PARALLEL_BATCH_THRESHOLD` points and beyond):
+//! actually engages (`TILED_MIN_STATIONS` stations and `BATCH_TILE`
+//! points and beyond, with its tiles inline below
+//! `PARALLEL_BATCH_THRESHOLD` points and across the cores above):
 //!
 //! * **tiled ≡ serial** — `locate_batch` answers are bit-identical to a
 //!   serial loop of `locate` calls, for every backend and every
@@ -19,6 +20,9 @@
 //!   than the network);
 //! * non-finite query points take the wholesale-fallback tile and still
 //!   match the serial path;
+//! * batches of far-apart hotspot clusters, which the tiler cuts into
+//!   one tile per cluster, match the serial path under uniform and
+//!   clustered power;
 //! * `VoronoiAssisted`'s strongest-station walk matches a same-kernel
 //!   `SimdScan`, serial, tiled and through `locate_in_cell`, including
 //!   at a hostile exact energy tie under `β < 1`.
@@ -250,7 +254,12 @@ fn direct_executor_matches_serial_under_custom_configs() {
             |p| eval.locate(p),
         );
         assert_eq!(stats.points as usize, points.len());
-        assert_eq!(stats.tiles as usize, points.len().div_ceil(tile_points));
+        let (_, tiles) = tile::morton_tiles(&points, tile_points);
+        assert_eq!(stats.tiles as usize, tiles.len());
+        assert!(
+            tiles.iter().all(|t| t.len() <= tile_points),
+            "a tile holds more than {tile_points} points"
+        );
         for (p, got) in points.iter().zip(&out) {
             assert_eq!(*got, eval.locate(*p), "tile_points={tile_points} at {p}");
         }
@@ -374,6 +383,79 @@ fn direct_executor_max_energy_matches_weighted_tree_path() {
     );
     for (p, got) in points.iter().zip(&out) {
         assert_eq!(*got, engine.locate(*p), "max-energy-mode mismatch at {p}");
+    }
+}
+
+/// A network with clustered power: one 8×-power macro station per 64,
+/// the rest around unit power (the weighted-dispatch regime).
+fn clustered_power_network(seed: u64, n: usize) -> Network {
+    let layout = big_network(seed, n, true);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC1);
+    let mut b = Network::builder().background_noise(0.01).threshold(2.0);
+    for (k, s) in layout.stations().enumerate() {
+        let power = if k % 64 == 0 {
+            8.0
+        } else {
+            rng.gen_range(0.5..1.5)
+        };
+        b = b.station_with_power(s.position, power);
+    }
+    b.build().unwrap()
+}
+
+/// 1–12 hotspot clusters at random centres over the network's window,
+/// each of 1–700 points in a disc of radius up to 2 — the batches whose
+/// tiles the gap rule of `tile::morton_tiles` separates.
+fn cluster_batch(net: &Network, seed: u64) -> Vec<Point> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let half = 2.2 * (net.len() as f64).sqrt();
+    let mut pts = Vec::new();
+    for _ in 0..rng.gen_range(1..=12usize) {
+        let c = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+        let r = rng.gen_range(0.0..2.0);
+        for _ in 0..rng.gen_range(1..=700usize) {
+            let (d, t) = (
+                r * rng.gen_range(0.0f64..1.0).sqrt(),
+                rng.gen_range(0.0..std::f64::consts::TAU),
+            );
+            pts.push(Point::new(c.x + d * f64::cos(t), c.y + d * f64::sin(t)));
+        }
+    }
+    pts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Far-apart clusters of random sizes, under uniform and clustered
+    /// power: every exact backend's `locate_batch` (tiled inline below
+    /// `PARALLEL_BATCH_THRESHOLD` points, tiled across the cores above
+    /// it, per point below one tile) answers as its serial loop.
+    #[test]
+    fn clustered_batches_match_serial_for_every_backend(
+        seed in any::<u64>(),
+        uniform in any::<bool>(),
+    ) {
+        let net = if uniform {
+            big_network(seed % 1000, 256, true)
+        } else {
+            clustered_power_network(seed % 1000, 256)
+        };
+        let points = cluster_batch(&net, seed);
+        let exact = ExactScan::new(&net);
+        let voronoi = VoronoiAssisted::new(&net);
+        let simd = SimdScan::new(&net);
+        let mut out = vec![Located::Silent; points.len()];
+        for (name, engine) in [
+            ("exact", &exact as &dyn QueryEngine),
+            ("voronoi", &voronoi),
+            ("simd", &simd),
+        ] {
+            engine.locate_batch(&points, &mut out);
+            for (p, got) in points.iter().zip(&out) {
+                prop_assert_eq!(*got, engine.locate(*p), "{} batch/serial mismatch at {}", name, p);
+            }
+        }
     }
 }
 

@@ -554,7 +554,7 @@ pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
     let mut top = Refiner::default();
     let mut subtrees = Vec::new();
     top.split(&grid, whole, None, 0, &mut subtrees);
-    let workers = steal_tiles::<Refiner, _>(subtrees.len(), |t, refiner| {
+    let workers = steal_tiles::<Refiner, _>(subtrees.len(), usize::MAX, |t, refiner| {
         let subtree = &subtrees[t];
         refiner.refine(&grid, subtree.region, subtree.parent.as_deref());
     });
